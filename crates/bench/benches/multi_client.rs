@@ -7,7 +7,7 @@
 //! grows, in two shapes:
 //!
 //! * **disjoint** — each client inserts into its own table, the
-//!   embarrassingly parallel case the sharded table store exists for;
+//!   embarrassingly parallel case per-table locking exists for;
 //! * **shared** — every client inserts into one table, bounding the win
 //!   at the per-table lock while still exercising parallel decode.
 //!

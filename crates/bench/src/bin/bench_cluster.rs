@@ -29,7 +29,7 @@
 //! is reported (a ratio of independently-lucky runs is biased; a
 //! median of paired ratios is not). The headline metric is
 //! `cluster_speedup_2`: aggregate acked rows/second at 2 partitions
-//! over 1. `scripts/bench_cluster.sh` enforces
+//! over 1. `scripts/ci.sh bench` enforces
 //! `cluster_speedup_2 >= 1.6`; `cluster_speedup_4` is recorded for
 //! the trajectory.
 //!

@@ -12,9 +12,8 @@
 //!
 //! Run with `cargo run --release -p cep_bench --bin bench_fanout`
 //! (output path override: `BENCH_FANOUT_OUT`; tuple count:
-//! `BENCH_FANOUT_TUPLES`). `scripts/bench_fanout.sh` wraps this with
-//! the ≥10x floor check, and `scripts/ci.sh` runs it as part of the
-//! tier-1 gate.
+//! `BENCH_FANOUT_TUPLES`). `scripts/ci.sh bench` runs it with the ≥10x
+//! floor check as part of the tier-1 gate.
 
 use std::time::{Duration, Instant};
 

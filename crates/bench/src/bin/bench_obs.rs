@@ -17,7 +17,7 @@
 //!   the plan-execution timer on the hottest uninstrumented-cost path
 //!   the cache has.
 //!
-//! `scripts/bench_obs.sh` enforces `obs_rpc_ratio >= 0.95` and
+//! `scripts/ci.sh bench` enforces `obs_rpc_ratio >= 0.95` and
 //! `obs_read_ratio >= 0.95` (instrumented / uninstrumented
 //! throughput). Each workload runs as three interleaved off/on pairs
 //! and the best per-pair ratio is kept: interleaving cancels machine

@@ -8,7 +8,7 @@
 //!   (the default: every mutation stamped, the server records its
 //!   outcome in the bounded token table) vs the same workload with
 //!   tokens disabled. The headline `protect_dedup_ratio` is
-//!   tokened/untokened throughput; `scripts/bench_protect.sh` enforces
+//!   tokened/untokened throughput; `scripts/ci.sh bench` enforces
 //!   `>= 0.9` — exactly-once may cost at most 10% of the hot path.
 //!
 //! * **Throttled-flood fairness** — a hostile client floods a

@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --release -p cep_bench --bin bench_query`
 //! (the output path can be overridden with `BENCH_QUERY_OUT`).
-//! `scripts/bench_snapshot.sh` wraps this together with the criterion
-//! benches.
+//! `scripts/ci.sh bench` runs it with the ≥10x window floor; the
+//! criterion benches `query_engine` and `cache_paths` time the same
+//! read path per iteration.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};

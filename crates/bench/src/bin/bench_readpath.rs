@@ -18,9 +18,8 @@
 //! Run with `cargo run --release -p cep_bench --bin bench_readpath`
 //! (output override: `BENCH_READPATH_OUT`; table size:
 //! `BENCH_READPATH_ROWS`; measured seconds per mode:
-//! `BENCH_READPATH_SECS`). `scripts/bench_readpath.sh` wraps this with
-//! the ≥4x read floor and ≥0.8x writer floor, and `scripts/ci.sh` runs
-//! it as part of the tier-1 gate.
+//! `BENCH_READPATH_SECS`). `scripts/ci.sh bench` runs it with the ≥4x
+//! read floor and ≥0.8x writer floor as part of the tier-1 gate.
 
 use std::fs;
 use std::path::PathBuf;

@@ -11,7 +11,7 @@
 //! both nodes. The follower answers from its own table store — reads
 //! scale out — so its throughput must stay within 2x of the primary's
 //! (`follower_read_ratio >= 0.5`), and the stream must fully drain
-//! (`converged == 1`): those are the floors `scripts/bench_repl.sh`
+//! (`converged == 1`): those are the floors `scripts/ci.sh bench`
 //! enforces.
 //!
 //! Run with `cargo run --release -p cep_bench --bin bench_repl`

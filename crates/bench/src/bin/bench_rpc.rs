@@ -14,7 +14,7 @@
 //! The headline metric is `rpc_speedup_16`: pipelined aggregate
 //! throughput at 16 connections over the ~550 reads/sec baseline the
 //! replication snapshot recorded for the serial windowed-select path
-//! (`BENCH_repl.json`, `primary_reads_per_sec`). `scripts/bench_rpc.sh`
+//! (`BENCH_repl.json`, `primary_reads_per_sec`). `scripts/ci.sh bench`
 //! enforces `rpc_speedup_16 >= 10`.
 //!
 //! Run with `cargo run --release -p cep_bench --bin bench_rpc`

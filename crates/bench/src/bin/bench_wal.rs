@@ -4,7 +4,7 @@
 //!
 //! The scenario is the durability hot path at its most contended: every
 //! client hammers the *same* persistent table (distinct keys), so all
-//! records funnel into one log shard. Under [`SyncPolicy::Immediate`]
+//! records funnel through one table lock into the log. Under [`SyncPolicy::Immediate`]
 //! each insert performs its own `fsync` while holding the table lock —
 //! the classic one-flush-per-commit baseline. Under the default
 //! [`SyncPolicy::Group`] the insert appends while holding the lock but
@@ -16,9 +16,8 @@
 //!
 //! Run with `cargo run --release -p cep_bench --bin bench_wal` (output
 //! path override: `BENCH_WAL_OUT`; per-client insert count:
-//! `BENCH_WAL_INSERTS`). `scripts/bench_wal.sh` wraps this with the
-//! ≥5x floor check, and `scripts/ci.sh` runs it as part of the tier-1
-//! gate.
+//! `BENCH_WAL_INSERTS`). `scripts/ci.sh bench` runs it with the ≥5x
+//! floor check as part of the tier-1 gate.
 
 use std::fs;
 use std::path::PathBuf;

@@ -8,8 +8,8 @@
 //! the gate would fail with "missing metric" or, worse, truncate
 //! `1.0e3` to `1.0` and pass a regression. This module is the
 //! replacement: a real scan for the quoted key followed by a colon and
-//! a full JSON number token, shared by `scripts/ci.sh` and every
-//! `scripts/bench_*.sh` through the `check_floor` binary.
+//! a full JSON number token, applied to every row of the floor table
+//! in `scripts/ci.sh` through the `check_floor` binary.
 
 use std::fmt;
 

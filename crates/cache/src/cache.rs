@@ -13,9 +13,7 @@ use gapl::event::{AttrType, Scalar, Schema, Timestamp, Tuple};
 
 use crate::clock::{Clock, ManualClock, SystemClock};
 use crate::cluster::ClusterSpec;
-use crate::config::{
-    DEFAULT_AUTOMATON_WORKERS, DEFAULT_CHECKPOINT_EVERY, DEFAULT_SHARD_COUNT, DEFAULT_TOKEN_HISTORY,
-};
+use crate::config::{DEFAULT_AUTOMATON_WORKERS, DEFAULT_CHECKPOINT_EVERY, DEFAULT_TOKEN_HISTORY};
 use crate::dispatch::{DispatchIndex, TopicDispatch};
 use crate::error::{Error, Result};
 use crate::obs::Obs;
@@ -29,7 +27,7 @@ use crate::repl::{ReplRole, ReplStats};
 use crate::runtime::{AutomatonId, AutomatonStats, Executor, Notification, RegisterCmd, WorkerMsg};
 use crate::sql::{self, Command};
 use crate::table::{Table, TableKind, TableStore, DEFAULT_STREAM_CAPACITY};
-use crate::wal::{self, Recovery, ReplayOp, SnapshotTable, SyncPolicy, Wal, WalStats, WalTicket};
+use crate::wal::{self, Recovery, ReplayOp, SnapshotTable, SyncPolicy, Wal, WalStats};
 
 /// [`CacheInner::role`] encoding: writable primary.
 const ROLE_PRIMARY: u8 = 0;
@@ -128,7 +126,6 @@ pub struct CacheBuilder {
     default_stream_capacity: usize,
     print_to_stdout: bool,
     timer_interval: Option<Duration>,
-    shard_count: usize,
     automaton_workers: usize,
     rpc_workers: usize,
     naive_fanout: bool,
@@ -160,7 +157,6 @@ impl CacheBuilder {
             default_stream_capacity: DEFAULT_STREAM_CAPACITY,
             print_to_stdout: false,
             timer_interval: None,
-            shard_count: DEFAULT_SHARD_COUNT,
             automaton_workers: DEFAULT_AUTOMATON_WORKERS,
             rpc_workers: crate::config::DEFAULT_RPC_WORKERS,
             naive_fanout: false,
@@ -321,15 +317,6 @@ impl CacheBuilder {
         self
     }
 
-    /// Number of lock stripes in the sharded table store (default
-    /// [`DEFAULT_SHARD_COUNT`]). Inserts into tables on different stripes
-    /// never contend; raise this on machines with many inserting cores,
-    /// or set it to 1 to recover the old single-map behaviour.
-    pub fn shard_count(mut self, shards: usize) -> Self {
-        self.shard_count = shards.max(1);
-        self
-    }
-
     /// Use a deterministic, manually advanced clock (see
     /// [`Cache::manual_clock`]).
     pub fn manual_clock(mut self) -> Self {
@@ -397,12 +384,7 @@ impl CacheBuilder {
         }
         let (wal, recovery) = match &self.durability {
             Some(dir) => {
-                let (wal, recovery) = Wal::open(
-                    dir,
-                    self.shard_count,
-                    self.sync_policy,
-                    self.checkpoint_every,
-                )?;
+                let (wal, recovery) = Wal::open(dir, self.sync_policy, self.checkpoint_every)?;
                 wal.set_obs(Arc::clone(&obs));
                 (Some(Arc::new(wal)), Some(recovery))
             }
@@ -411,12 +393,13 @@ impl CacheBuilder {
         // Every durable cache runs the replication hub: it is the
         // authority on the contiguous durable commit watermark
         // (`Cache::commit_lsn`) whether or not followers ever attach.
-        // A primary seeds it at the highest recovered LSN (records lost
-        // in a crash hole were never acknowledged and simply do not
-        // exist); a replica seeds both the hub and its applied
-        // watermark at the *contiguous* recovered LSN, so a hole left
-        // by a crash between per-shard fsyncs is re-fetched from the
-        // primary instead of silently skipped.
+        // A primary seeds it at the highest recovered LSN; a replica
+        // seeds both the hub and its applied watermark at the
+        // *contiguous* recovered LSN. The two differ only in a
+        // directory written by an older, striped-log build, where a
+        // crash could leave a hole: a primary's lost record was never
+        // acknowledged and simply does not exist, while a replica must
+        // re-fetch it from the primary instead of silently skipping it.
         let repl_hub = wal.as_ref().map(|w| {
             Arc::new(ReplHub::new(if is_follower {
                 w.recovered_contiguous_lsn()
@@ -426,7 +409,7 @@ impl CacheBuilder {
         });
         let repl_applied = wal.as_ref().map_or(0, |w| w.recovered_contiguous_lsn());
         let inner = Arc::new(CacheInner {
-            tables: TableStore::new(self.shard_count),
+            tables: TableStore::default(),
             plans: PlanCache::default(),
             dispatch: DispatchIndex::default(),
             routes: RwLock::new(HashMap::new()),
@@ -457,7 +440,7 @@ impl CacheBuilder {
         });
         if let (Some(wal), Some(hub)) = (&inner.wal, &inner.repl_hub) {
             let hub = Arc::clone(hub);
-            wal.set_sink(Arc::new(move |chunk: &[u8]| hub.ingest(chunk)));
+            wal.set_sink(Arc::new(move |hi: u64, chunk: &[u8]| hub.ingest(hi, chunk)));
         }
         let timer_schema = Schema::new(TIMER_TOPIC, vec![("tstamp", AttrType::Tstamp)])
             .expect("the Timer schema is statically valid");
@@ -729,7 +712,7 @@ impl AutomatonEntry {
 }
 
 pub(crate) struct CacheInner {
-    /// The sharded table store; see [`TableStore`] for the locking story.
+    /// The table map; see [`TableStore`] for the locking story.
     tables: TableStore,
     /// SQL-text plan cache for `select` statements.
     plans: PlanCache,
@@ -791,7 +774,6 @@ impl std::fmt::Debug for CacheInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheInner")
             .field("tables", &self.tables.len())
-            .field("shards", &self.tables.shard_count())
             .field("automata", &self.routes.read().len())
             .field("workers", &self.executor.worker_count())
             .finish()
@@ -1036,9 +1018,9 @@ impl Cache {
         stats
     }
 
-    /// Force a checkpoint now: flush and rotate every log shard, write a
+    /// Force a checkpoint now: flush and rotate the log, write a
     /// consistent snapshot of every table to `snapshot.snap`, and delete
-    /// the rotated logs. Bounds recovery time; runs automatically every
+    /// the rotated log. Bounds recovery time; runs automatically every
     /// [`CacheBuilder::checkpoint_every`] records.
     ///
     /// # Errors
@@ -1813,10 +1795,8 @@ impl CacheInner {
         let ticket = match &self.wal {
             Some(wal) => {
                 let _ckpt = self.checkpoint_lock.lock();
-                let lsn = wal.next_lsn();
-                let framed = wal::encode_create(lsn, name, kind, capacity, &columns);
-                let shard = self.tables.shard_index(name);
-                let ticket = wal.append(shard, &framed)?;
+                let lsn =
+                    wal.append(|lsn| wal::encode_create(lsn, name, kind, capacity, &columns))?;
                 // The create record is the table's first watermark entry
                 // (for streams, the only one): snapshots must claim the
                 // DDL's LSN so replication bootstraps know a checkpoint
@@ -1826,24 +1806,19 @@ impl CacheInner {
                 self.tables.create(name, table)?;
                 match token {
                     Some(t) => {
-                        // The token record goes to the same shard right
-                        // behind the create, still under the checkpoint
-                        // lock; waiting on the later ticket implies the
-                        // create is durable too.
-                        let token_lsn = wal.next_lsn();
-                        let framed = wal::encode_token(
-                            token_lsn,
-                            t.client_id,
-                            t.seq,
-                            &TokenOutcome::Created,
-                        );
-                        let token_ticket = wal.append(shard, &framed)?;
+                        // The token record goes right behind the create,
+                        // still under the checkpoint lock; waiting on
+                        // the later LSN implies the create is durable
+                        // too.
+                        let token_lsn = wal.append(|lsn| {
+                            wal::encode_token(lsn, t.client_id, t.seq, &TokenOutcome::Created)
+                        })?;
                         self.tokens
                             .lock()
                             .record(t, TokenOutcome::Created, token_lsn);
-                        Some(token_ticket)
+                        Some(token_lsn)
                     }
-                    None => Some(ticket),
+                    None => Some(lsn),
                 }
             }
             None => {
@@ -1883,10 +1858,10 @@ impl CacheInner {
     }
 
     /// Append one insert/upsert record for `rows` (already applied to the
-    /// locked table behind `guard`) to the log. Returns the commit ticket
-    /// to await once the table lock is released (paired with the record's
-    /// LSN), or `None` when the write needs no logging (durability off,
-    /// or an ephemeral stream). A token, when present, is embedded in the
+    /// locked table behind `guard`) to the log. Returns the record's LSN
+    /// — the commit ticket to await once the table lock is released — or
+    /// `None` when the write needs no logging (durability off, or an
+    /// ephemeral stream). A token, when present, is embedded in the
     /// record itself ([`wal::ReplayOp::Insert`]'s `token` field): one
     /// frame, one checksum — the mutation and its token are durable
     /// atomically.
@@ -1897,25 +1872,24 @@ impl CacheInner {
         rows: &[Tuple],
         upsert: bool,
         token: Option<(u64, u64, bool)>,
-    ) -> Result<Option<(WalTicket, u64)>> {
+    ) -> Result<Option<u64>> {
         let Some(wal) = &self.wal else {
             return Ok(None);
         };
         if guard.kind() != TableKind::Persistent || rows.is_empty() {
             return Ok(None);
         }
-        let lsn = wal.next_lsn();
         let values: Vec<&[Scalar]> = rows.iter().map(Tuple::values).collect();
-        let framed = wal::encode_insert(lsn, table_name, upsert, rows[0].tstamp(), &values, token);
-        let ticket = wal.append(self.tables.shard_index(table_name), &framed)?;
+        let lsn = wal.append(|lsn| {
+            wal::encode_insert(lsn, table_name, upsert, rows[0].tstamp(), &values, token)
+        })?;
         guard.note_wal(lsn);
-        Ok(Some((ticket, lsn)))
+        Ok(Some(lsn))
     }
 
-    /// Wait for a commit ticket issued by [`CacheInner::wal_log_insert`]
-    /// (after the table lock has been dropped) and run a checkpoint if
-    /// one is due.
-    fn wal_commit(&self, ticket: Option<WalTicket>) -> Result<()> {
+    /// Wait for the record with LSN `ticket` to be durable (after the
+    /// table lock has been dropped) and run a checkpoint if one is due.
+    fn wal_commit(&self, ticket: Option<u64>) -> Result<()> {
         let (Some(wal), Some(ticket)) = (&self.wal, ticket) else {
             return Ok(());
         };
@@ -2195,7 +2169,7 @@ impl CacheInner {
     /// Insert and publish: the unification step. The per-table lock is held
     /// across both the buffer append and the enqueueing onto subscriber
     /// channels so that every automaton observes tuples in strict
-    /// time-of-insertion order. The table-store stripe lock is released
+    /// time-of-insertion order. The table-map lock is released
     /// before the table lock is taken, so inserts into other tables are
     /// never blocked by this one.
     pub(crate) fn insert_values(
@@ -2221,7 +2195,7 @@ impl CacheInner {
         let outcome = guard.stage_insert(values, self.now(), on_duplicate_update)?;
         let staged_end = guard.staged_tail();
         // The log record is appended in the same critical section that
-        // staged the row, so the shard log's order for this table equals
+        // staged the row, so the log's order for this table equals
         // its staging order; the durability *wait* happens after the lock
         // drops, which is what lets concurrent inserters group-commit.
         let ticket = match self.wal_log_insert(
@@ -2253,11 +2227,11 @@ impl CacheInner {
                     replaced: outcome.replaced,
                     tstamp: outcome.stored.tstamp(),
                 },
-                ticket.map_or(0, |(_, lsn)| lsn),
+                ticket.unwrap_or(0),
             );
         }
         self.publish_locked(table_name, std::slice::from_ref(&outcome.stored));
-        self.commit_staged(&table, guard, staged_end, ticket.map(|(t, _)| t))?;
+        self.commit_staged(&table, guard, staged_end, ticket)?;
         Ok(outcome)
     }
 
@@ -2268,10 +2242,10 @@ impl CacheInner {
     /// reach the disk here, not at append time), and only then is the
     /// table re-locked to commit. A reader can therefore never observe
     /// a row whose log record is still sitting in the group-commit
-    /// buffer. Out-of-order ticket completion is safe: per-shard
-    /// durability is prefix-ordered and a table maps to one shard, so
-    /// a later writer's commit covering an earlier writer's staged rows
-    /// implies their records are durable too.
+    /// buffer. Out-of-order ticket completion is safe: the log's
+    /// durability is prefix-ordered, so a later writer's commit
+    /// covering an earlier writer's staged rows implies their records
+    /// are durable too.
     ///
     /// On a flush error the staged rows are committed anyway — the old
     /// engine had them visible from apply time, and wedging them
@@ -2282,7 +2256,7 @@ impl CacheInner {
         table: &Arc<crate::table::TableHandle>,
         guard: parking_lot::MutexGuard<'_, Table>,
         staged_end: u64,
-        ticket: Option<WalTicket>,
+        ticket: Option<u64>,
     ) -> Result<()> {
         let mut guard = guard;
         let (Some(wal), Some(ticket)) = (&self.wal, ticket) else {
@@ -2394,13 +2368,13 @@ impl CacheInner {
                 TokenOutcome::InsertedBatch {
                     tstamps: tstamps.clone(),
                 },
-                ticket.map_or(0, |(_, lsn)| lsn),
+                ticket.unwrap_or(0),
             );
         }
         if watched {
             self.publish_locked(table_name, &stored);
         }
-        self.commit_staged(&table, guard, staged_end, ticket.map(|(t, _)| t))?;
+        self.commit_staged(&table, guard, staged_end, ticket)?;
         result?;
         Ok(tstamps)
     }
@@ -2553,12 +2527,10 @@ impl CacheInner {
         // transcript of the mutation history.
         let ticket = match &self.wal {
             Some(wal) if guard.kind() == TableKind::Persistent => {
-                let lsn = wal.next_lsn();
-                let framed = wal::encode_remove(lsn, table, key);
-                match wal.append(self.tables.shard_index(table), &framed) {
-                    Ok(ticket) => {
+                match wal.append(|lsn| wal::encode_remove(lsn, table, key)) {
+                    Ok(lsn) => {
                         guard.note_wal(lsn);
-                        Some(ticket)
+                        Some(lsn)
                     }
                     Err(e) => {
                         guard.commit_visible(staged_end);
@@ -2717,7 +2689,7 @@ impl CacheInner {
     /// Apply one shipped batch of WAL frames, in order, revalidating
     /// every record checksum; a durable follower appends the identical
     /// bytes to its own log (waiting for their durability once per
-    /// shard, not per record) before acknowledging. Returns the new
+    /// batch, not per record) before acknowledging. Returns the new
     /// applied watermark.
     pub(crate) fn repl_apply_frames(&self, bytes: &[u8]) -> Result<u64> {
         let (payloads, consumed) = wal::scan_frames(bytes);
@@ -2727,7 +2699,7 @@ impl CacheInner {
             ));
         }
         let mut hi = self.repl_applied_lsn.load(Ordering::Acquire);
-        let mut last_tickets: HashMap<usize, WalTicket> = HashMap::new();
+        let mut appended = None;
         for payload in payloads {
             let op = wal::decode_record(payload)?;
             let lsn = op.lsn();
@@ -2741,23 +2713,20 @@ impl CacheInner {
             // whose apply was a no-op, like the primary's create record
             // for a table this replica already has (its own built-in
             // Timer). The local log must stay a verbatim, gap-free copy
-            // of the primary's: a gap would stall this cache's own hub
-            // watermark forever (pending frames above it can never
-            // drain), wedging `commit_lsn()` after promotion and any
-            // chained followers. Recovery dedups replayed creates, so
-            // the duplicate-looking record is harmless there.
+            // of the primary's: a gap would read as a hole at this
+            // cache's next recovery and break the contiguous batches
+            // its own hub serves to chained followers. Recovery dedups
+            // replayed creates, so the duplicate-looking record is
+            // harmless there.
             if let Some(wal) = &self.wal {
-                let shard = self.tables.shard_index(op.table());
-                let framed = wal::frame(payload);
-                let ticket = wal.append(shard, &framed)?;
-                last_tickets.insert(ticket.shard_index(), ticket);
+                wal.append_frame(lsn, &wal::frame(payload))?;
+                appended = Some(lsn);
             }
             hi = hi.max(lsn);
         }
-        if let Some(wal) = &self.wal {
-            for ticket in last_tickets.into_values() {
-                wal.wait_durable(ticket)?;
-            }
+        if let (Some(wal), Some(lsn)) = (&self.wal, appended) {
+            // The log is prefix-durable: the newest frame covers them all.
+            wal.wait_durable(lsn)?;
         }
         self.repl_applied_lsn.fetch_max(hi, Ordering::AcqRel);
         // A durable follower checkpoints on the same cadence as a
@@ -3244,28 +3213,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_configurable_and_transparent() {
-        for shards in [1usize, 4, 64] {
-            let c = CacheBuilder::new()
-                .manual_clock()
-                .shard_count(shards)
-                .build();
-            for i in 0..10 {
-                c.execute(&format!("create table T{i} (v integer)"))
-                    .unwrap();
-                c.insert(&format!("T{i}"), vec![Scalar::Int(i as i64)])
-                    .unwrap();
-            }
-            assert_eq!(c.table_names().len(), 11); // 10 tables + Timer
-            for i in 0..10 {
-                assert_eq!(c.table_len(&format!("T{i}")).unwrap(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_inserts_across_shards_keep_per_table_order() {
-        let c = CacheBuilder::new().shard_count(8).build();
+    fn concurrent_inserts_across_tables_keep_per_table_order() {
+        let c = CacheBuilder::new().build();
         let threads = 4;
         let per_thread = 500;
         for t in 0..threads {

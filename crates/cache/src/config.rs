@@ -29,15 +29,6 @@ use crate::cache::Cache;
 use crate::error::{Error, Result};
 use crate::runtime::{AutomatonId, Notification};
 
-/// Default number of lock stripes in the sharded table store.
-///
-/// Sixteen stripes keep stripe-lock contention negligible up to roughly
-/// that many concurrently inserting cores while costing only sixteen
-/// (mostly empty) hash maps on an idle cache; deployments with wider
-/// machines can raise it via
-/// [`CacheBuilder::shard_count`](crate::CacheBuilder::shard_count).
-pub const DEFAULT_SHARD_COUNT: usize = 16;
-
 /// Default size of the automaton executor pool.
 ///
 /// Four workers keep even a single-core container responsive (workers
@@ -70,7 +61,7 @@ pub const DEFAULT_RPC_MAX_PIPELINE: usize = 128;
 /// durability is enabled.
 ///
 /// A checkpoint rewrites every table into `snapshot.snap` and truncates
-/// the per-shard logs, so it trades a burst of I/O for bounded recovery
+/// the log, so it trades a burst of I/O for bounded recovery
 /// time. Ten thousand records keeps the log tail short (replay is tens
 /// of milliseconds) without snapshotting so often that checkpoint I/O
 /// competes with the insert path; tune via

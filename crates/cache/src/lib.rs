@@ -70,8 +70,8 @@ pub use cache::{AutomatonTelemetry, Cache, CacheBuilder, DispatchStats, PlanCach
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use cluster::{ClusterSpec, HashRing, SubBridge};
 pub use config::{
-    ConfigReport, DEFAULT_AUTOMATON_WORKERS, DEFAULT_CHECKPOINT_EVERY, DEFAULT_SHARD_COUNT,
-    DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TOKEN_HISTORY,
+    ConfigReport, DEFAULT_AUTOMATON_WORKERS, DEFAULT_CHECKPOINT_EVERY, DEFAULT_SLOW_OP_THRESHOLD,
+    DEFAULT_TOKEN_HISTORY,
 };
 pub use error::{Error, Result};
 pub use obs::{HistogramSnapshot, MetricsSnapshot, Obs, OpTrace, ReqKind, SlowOpLog};

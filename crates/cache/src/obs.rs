@@ -315,7 +315,7 @@ pub struct Obs {
     rpc: [[LatencyHistogram; 3]; REQ_KINDS],
     /// Requests completed, per kind (the differential-test surface).
     rpc_requests: [AtomicU64; REQ_KINDS],
-    /// WAL: buffered append duration (under the shard lock).
+    /// WAL: LSN mint + encode + buffered append (under the log lock).
     pub wal_append_ns: LatencyHistogram,
     /// WAL: time a committer waited for its group-commit ticket.
     pub wal_commit_wait_ns: LatencyHistogram,

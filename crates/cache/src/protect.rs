@@ -11,7 +11,7 @@
 //! same token returns the original outcome instead of applying the
 //! mutation twice. For durable tables the token record is appended to
 //! the write-ahead log **in the same critical section as the mutation it
-//! covers** (same shard, same group-commit wave), which gives the
+//! covers** (same group-commit wave), which gives the
 //! exactly-once guarantee across crash recovery: either both the
 //! mutation and its token survive (the retry deduplicates) or neither
 //! does (the mutation was never acknowledged and the retry re-applies it

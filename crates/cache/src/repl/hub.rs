@@ -1,22 +1,22 @@
-//! The replication hub: re-sequences sealed WAL chunks into the global
-//! commit order and fans them out to subscribed follower connections.
+//! The replication hub: tracks the commit watermark and fans sealed WAL
+//! chunks out to subscribed follower connections.
 //!
-//! The write-ahead log is striped; each stripe ships its chunks in its
-//! own file order, but stripes race each other, so the hub receives
-//! frames **out of global order**. Every frame carries its LSN in-band
-//! (the first `u64` of the record payload), and LSNs are allocated
-//! densely: the hub buffers out-of-order frames in a pending map and
-//! advances a contiguous **commit watermark** — a frame is released to
-//! subscribers only once every lower LSN has been sealed too. A batch
-//! handed to a subscriber is therefore always a contiguous run
-//! `(commit, hi]`, which is what lets a follower treat "applied batch
-//! with high watermark `hi`" as "complete up to `hi`".
+//! The write-ahead log is one file whose LSNs are minted in file order,
+//! and it hands the hub each chunk of framed records — with the LSN of
+//! the chunk's last record — as soon as the chunk reaches the file.
+//! Chunks therefore arrive **in LSN order**: the hub's **commit
+//! watermark** is simply the high LSN of the newest chunk, and a batch
+//! handed to a subscriber is always the contiguous run `(commit, hi]`,
+//! which is what lets a follower treat "applied batch with high
+//! watermark `hi`" as "complete up to `hi`". A chunk at or below the
+//! watermark can only repeat history the watermark already covers, and
+//! is ignored.
 //!
 //! The hub exists on every durable cache (it is how
 //! [`Cache::commit_lsn`](crate::Cache::commit_lsn) is computed);
 //! subscribers only appear when a replication listener is serving.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,10 +30,6 @@ pub(crate) type StreamBatch = (u64, Arc<[u8]>);
 struct HubState {
     /// Highest LSN such that every record at or below it is sealed.
     commit_lsn: u64,
-    /// Sealed frames above the watermark, keyed by LSN, waiting for the
-    /// gap below them to fill. Holds only the out-of-order window —
-    /// normally a handful of frames from racing stripes.
-    pending: BTreeMap<u64, Vec<u8>>,
     /// Live subscriber channels, by subscription id.
     subs: HashMap<u64, Sender<StreamBatch>>,
     /// Last LSN each subscriber acknowledged as applied.
@@ -74,25 +70,16 @@ impl ReplHub {
         }
     }
 
-    /// Ingest one sealed chunk from a log stripe (the WAL's replication
-    /// sink), advancing the commit watermark and fanning out every newly
-    /// contiguous frame. Subscribers that have stopped draining are
-    /// evicted rather than buffered for without bound.
-    pub fn ingest(&self, chunk: &[u8]) {
+    /// Ingest one sealed chunk (the WAL's replication sink): framed
+    /// records in LSN order, the last of which carries LSN `hi`.
+    /// Advances the commit watermark to `hi` and fans the chunk out;
+    /// a chunk at or below the watermark is stale and ignored.
+    /// Subscribers that have stopped draining are evicted rather than
+    /// buffered for without bound.
+    pub fn ingest(&self, hi: u64, chunk: &[u8]) {
         let mut state = self.state.lock();
-        for (lsn, frame) in crate::wal::split_frames(chunk) {
-            if lsn > state.commit_lsn {
-                state.pending.entry(lsn).or_insert_with(|| frame.to_vec());
-            }
-        }
         let from = state.commit_lsn;
-        let mut batch: Vec<u8> = Vec::new();
-        let mut hi = from;
-        while let Some(frame) = state.pending.remove(&(hi + 1)) {
-            batch.extend_from_slice(&frame);
-            hi += 1;
-        }
-        if hi == from {
+        if hi <= from {
             return;
         }
         state.commit_lsn = hi;
@@ -109,7 +96,7 @@ impl ReplHub {
             }
             self.frames_shipped
                 .fetch_add((hi - from) * state.subs.len() as u64, Ordering::Relaxed);
-            let shared: Arc<[u8]> = Arc::from(batch);
+            let shared: Arc<[u8]> = Arc::from(chunk);
             self.bytes_shipped.fetch_add(
                 shared.len() as u64 * state.subs.len() as u64,
                 Ordering::Relaxed,
@@ -134,17 +121,13 @@ impl ReplHub {
         (id, rx, state.commit_lsn)
     }
 
-    /// Jump the commit watermark to `lsn` — the follower-side snapshot
+    /// Set the commit watermark to `lsn` — the follower-side snapshot
     /// bootstrap. Forwards: a loaded snapshot covers every record at or
-    /// below its high watermark, so frames below it will never be
-    /// appended and must not hold the contiguity pointer (or the
-    /// pending map) back. Backwards: a divergence reset discarded local
-    /// records, and the watermark must shrink to what the snapshot
-    /// actually covers.
+    /// below its high watermark. Backwards: a divergence reset
+    /// discarded local records, and the watermark must shrink to what
+    /// the snapshot actually covers.
     pub fn reset_commit(&self, lsn: u64) {
-        let mut state = self.state.lock();
-        state.pending = state.pending.split_off(&(lsn + 1));
-        state.commit_lsn = lsn;
+        self.state.lock().commit_lsn = lsn;
     }
 
     /// Detach a subscriber (its connection is gone).
@@ -202,35 +185,38 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_chunks_are_resequenced_contiguously() {
+    fn in_order_chunks_advance_the_watermark_and_reach_subscribers_verbatim() {
         let hub = ReplHub::new(0);
         let (_id, rx, at) = hub.subscribe();
         assert_eq!(at, 0);
 
-        hub.ingest(&frame_with_lsn(2));
-        assert_eq!(hub.commit_lsn(), 0);
-        assert!(rx.try_recv().is_err());
-
-        hub.ingest(&frame_with_lsn(1));
-        assert_eq!(hub.commit_lsn(), 2);
-        let (hi, bytes) = rx.try_recv().unwrap();
-        assert_eq!(hi, 2);
-        let (payloads, consumed) = wal::scan_frames(&bytes);
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(payloads.len(), 2);
-
-        // A multi-frame chunk with a straggler in the middle.
-        let mut chunk = frame_with_lsn(5);
+        hub.ingest(1, &frame_with_lsn(1));
+        assert_eq!(hub.commit_lsn(), 1);
+        let mut chunk = frame_with_lsn(2);
         chunk.extend_from_slice(&frame_with_lsn(3));
-        hub.ingest(&chunk);
+        hub.ingest(3, &chunk);
         assert_eq!(hub.commit_lsn(), 3);
-        hub.ingest(&frame_with_lsn(4));
-        assert_eq!(hub.commit_lsn(), 5);
-        let total: usize = rx
-            .try_iter()
-            .map(|(_, b)| wal::scan_frames(&b).0.len())
-            .sum();
-        assert_eq!(total, 3);
+
+        // Each batch is the chunk as sealed, tagged with its high LSN,
+        // and the batches tile the sequence: (0, 1], (1, 3].
+        let mut commit = at;
+        for (hi, bytes) in rx.try_iter() {
+            let (payloads, consumed) = wal::scan_frames(&bytes);
+            assert_eq!(consumed, bytes.len());
+            for payload in payloads {
+                commit += 1;
+                assert_eq!(wal::decode_record(payload).unwrap().lsn(), commit);
+            }
+            assert_eq!(hi, commit);
+        }
+        assert_eq!(commit, 3);
+        assert_eq!(hub.ship_stats().0, 3);
+
+        // A snapshot bootstrap moves the watermark in either direction.
+        hub.reset_commit(10);
+        assert_eq!(hub.commit_lsn(), 10);
+        hub.reset_commit(2);
+        assert_eq!(hub.commit_lsn(), 2);
     }
 
     #[test]
@@ -252,9 +238,11 @@ mod tests {
     #[test]
     fn duplicate_and_stale_frames_are_ignored() {
         let hub = ReplHub::new(3);
-        hub.ingest(&frame_with_lsn(2)); // below the watermark: already durable
-        hub.ingest(&frame_with_lsn(4));
-        hub.ingest(&frame_with_lsn(4)); // duplicate
+        let (_id, rx, _) = hub.subscribe();
+        hub.ingest(2, &frame_with_lsn(2)); // below the watermark: already durable
+        hub.ingest(4, &frame_with_lsn(4));
+        hub.ingest(4, &frame_with_lsn(4)); // duplicate
         assert_eq!(hub.commit_lsn(), 4);
+        assert_eq!(rx.try_iter().count(), 1);
     }
 }

@@ -6,12 +6,14 @@
 //! stream**. The moving parts:
 //!
 //! * **Tailer + hub** (`hub`). The WAL ships every sealed chunk (the
-//!   bytes a group-commit leader or flush just wrote to a log file) to
-//!   the cache's replication hub, which re-sequences the per-stripe
-//!   chunks into the **global LSN order** and tracks the contiguous
-//!   durable *commit watermark*. Subscribed follower connections
-//!   receive contiguous frame batches; after applying a batch with high
-//!   watermark `hi`, a follower is complete up to `hi` — no gaps, ever.
+//!   bytes a group-commit leader or flush just wrote to the log file)
+//!   to the cache's replication hub, tagged with the LSN of its last
+//!   record. The log mints LSNs in file order, so chunks arrive **in
+//!   LSN order**: the hub's *commit watermark* is the newest chunk's
+//!   high LSN, and the chunk goes out to subscribers as sealed.
+//!   Subscribed follower connections receive contiguous frame batches;
+//!   after applying a batch with high watermark `hi`, a follower is
+//!   complete up to `hi` — no gaps, ever.
 //!
 //! * **Listener** (`server`). A primary built with
 //!   [`CacheBuilder::replicate_to`](crate::CacheBuilder::replicate_to)

@@ -35,9 +35,7 @@
 //! Every table is simultaneously a publish/subscribe topic with the same
 //! name; publication is handled by [`crate::cache::Cache`], not here.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -180,7 +178,7 @@ impl Table {
     /// Monotone and prefix-shaped: a caller may commit on behalf of
     /// earlier writers' staged prefixes (the cache does exactly that
     /// when group-commit acknowledgements complete out of order —
-    /// per-shard durability is prefix-ordered, so a later writer's
+    /// the log's durability is prefix-ordered, so a later writer's
     /// durable record implies every earlier one is durable too).
     pub fn commit_visible(&mut self, upto: u64) {
         match self {
@@ -806,76 +804,44 @@ impl TableHandle {
     }
 }
 
-/// A lock-striped, sharded map from table name to table.
+/// The map from table name to table.
 ///
-/// The table *map* is the structure every insert, select and registration
-/// touches, so a single `RwLock<HashMap>` around it serialises the whole
-/// cache under multi-core load. The store therefore splits tables across
-/// `shard_count` independent stripes, each guarded by its own
-/// [`RwLock`]; a table's stripe is chosen by hashing its name, and the
-/// per-table [`Mutex`] inside the stripe's [`TableHandle`] serialises
-/// inserts to *that* table only, preserving the paper's strict
+/// One [`RwLock`] guards the map itself, and it is written only by DDL
+/// (create, drop, the replication snapshot reset): every other path
+/// takes the read lock just long enough to clone the table's `Arc` out.
+/// The per-table [`Mutex`] inside the [`TableHandle`] serialises inserts
+/// to *that* table only, preserving the paper's strict
 /// time-of-insertion order per topic while letting inserts into
-/// different tables proceed on different cores without contention.
-/// Selects don't appear in that sentence at all any more: they read the
-/// handle's published snapshot and never take the mutex.
+/// different tables proceed on different cores. Selects don't appear in
+/// that sentence at all: they read the handle's published snapshot and
+/// never take the mutex.
 ///
-/// Lock order: a stripe lock is never held while a table mutex is taken —
-/// lookups clone the `Arc` out of the stripe and release it first — so
-/// the store cannot deadlock against the publish path.
-type Stripe = RwLock<HashMap<String, Arc<TableHandle>>>;
-
-#[derive(Debug)]
+/// Lock order: the map lock is never held while a table mutex is taken —
+/// lookups clone the `Arc` out and release it first — so the store
+/// cannot deadlock against the publish path.
+#[derive(Debug, Default)]
 pub(crate) struct TableStore {
-    shards: Box<[Stripe]>,
+    tables: RwLock<HashMap<String, Arc<TableHandle>>>,
 }
 
 impl TableStore {
-    /// A store striped over `shard_count` locks (rounded up to at least
-    /// one).
-    pub fn new(shard_count: usize) -> Self {
-        let shards = (0..shard_count.max(1))
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        TableStore { shards }
-    }
-
-    fn shard(&self, name: &str) -> &Stripe {
-        &self.shards[self.shard_index(name)]
-    }
-
-    /// The stripe index `name` hashes to. The write-ahead log is striped
-    /// by the same function, so a table's records always land in the log
-    /// shard of its store stripe.
-    pub fn shard_index(&self, name: &str) -> usize {
-        let mut hasher = DefaultHasher::new();
-        name.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Insert a fresh table under `name`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::TableExists`] when the name is taken.
     pub fn create(&self, name: &str, table: Table) -> Result<()> {
-        let mut shard = self.shard(name).write();
-        if shard.contains_key(name) {
+        let mut tables = self.tables.write();
+        if tables.contains_key(name) {
             return Err(Error::TableExists {
                 name: name.to_owned(),
             });
         }
-        shard.insert(name.to_owned(), Arc::new(TableHandle::new(table)));
+        tables.insert(name.to_owned(), Arc::new(TableHandle::new(table)));
         Ok(())
     }
 
-    /// The table registered under `name`, detached from its stripe lock
+    /// The table registered under `name`, detached from the map lock
     /// (callers lock the returned table themselves, or read its
     /// published snapshot without any lock).
     ///
@@ -883,7 +849,7 @@ impl TableStore {
     ///
     /// Returns [`Error::NoSuchTable`] for unknown names.
     pub fn get(&self, name: &str) -> Result<Arc<TableHandle>> {
-        self.shard(name)
+        self.tables
             .read()
             .get(name)
             .cloned()
@@ -894,7 +860,7 @@ impl TableStore {
 
     /// Whether a table named `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.shard(name).read().contains_key(name)
+        self.tables.read().contains_key(name)
     }
 
     /// Drop the table registered under `name`, if any. Used by table
@@ -902,36 +868,29 @@ impl TableStore {
     /// *exactly* the snapshot's tables behind; queries holding an `Arc`
     /// to the handle finish against the detached instance.
     pub fn remove(&self, name: &str) -> bool {
-        self.shard(name).write().remove(name).is_some()
+        self.tables.write().remove(name).is_some()
     }
 
-    /// Total number of tables across all stripes.
+    /// Total number of tables.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.tables.read().len()
     }
 
-    /// Every table name, in stripe order (callers sort if they need a
-    /// stable order).
+    /// Every table name, in no particular order (callers sort if they
+    /// need a stable one).
     pub fn names(&self) -> Vec<String> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
-            .collect()
+        self.tables.read().keys().cloned().collect()
     }
 
-    /// Every `(name, table)` pair, detached from the stripe locks, in
-    /// name order. Used by checkpoints, which then lock each table
-    /// individually — never a stripe lock and a table lock at once.
+    /// Every `(name, table)` pair, detached from the map lock, in name
+    /// order. Used by checkpoints, which then lock each table
+    /// individually — never the map lock and a table lock at once.
     pub fn tables(&self) -> Vec<(String, Arc<TableHandle>)> {
         let mut all: Vec<(String, Arc<TableHandle>)> = self
-            .shards
+            .tables
+            .read()
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(name, table)| (name.clone(), Arc::clone(table)))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(name, table)| (name.clone(), Arc::clone(table)))
             .collect();
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
@@ -1166,7 +1125,7 @@ mod tests {
 
     #[test]
     fn handle_reads_bypass_the_mutex_and_see_committed_state() {
-        let store = TableStore::new(2);
+        let store = TableStore::default();
         store
             .create("U", Table::persistent(usage_schema()))
             .unwrap();
@@ -1206,7 +1165,7 @@ mod tests {
 
     #[test]
     fn replace_rebinds_reader_state() {
-        let store = TableStore::new(1);
+        let store = TableStore::default();
         store
             .create("U", Table::persistent(usage_schema()))
             .unwrap();
@@ -1232,9 +1191,8 @@ mod tests {
     }
 
     #[test]
-    fn table_store_stripes_tables_and_rejects_duplicates() {
-        let store = TableStore::new(4);
-        assert_eq!(store.shard_count(), 4);
+    fn table_store_rejects_duplicates_and_unknown_names() {
+        let store = TableStore::default();
         for i in 0..32 {
             store
                 .create(&format!("T{i}"), Table::ephemeral(flows_schema(), 4))
@@ -1252,13 +1210,8 @@ mod tests {
         names.sort();
         assert_eq!(names.len(), 32);
         assert_eq!(names[0], "T0");
-        // A degenerate stripe count still works.
-        let store = TableStore::new(0);
-        assert_eq!(store.shard_count(), 1);
-        store
-            .create("only", Table::persistent(usage_schema()))
-            .unwrap();
-        store.get("only").unwrap().lock().len();
+        assert!(store.remove("T0"));
+        assert!(!store.remove("T0"));
     }
 
     #[test]

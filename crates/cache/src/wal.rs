@@ -1,20 +1,22 @@
-//! Durability: per-shard write-ahead log, group commit, checkpoints and
-//! crash recovery.
+//! Durability: one write-ahead log, group commit, checkpoints and crash
+//! recovery.
 //!
 //! The paper's cache keeps *persistent* tables in the heap: a restart
 //! loses every allowance table, every materialised view, every
 //! `associate`d relation. This module makes persistent tables actually
 //! persistent while leaving the hot path almost untouched:
 //!
-//! * **Per-shard log.** The write-ahead log is striped exactly like the
-//!   [`TableStore`](crate::table): a table's records go to the log shard
-//!   of its store stripe, so tables that never contend on a stripe lock
-//!   never contend on a log either. Each shard is one append-only file
-//!   (`wal-NNN.log`) of length-prefixed, CRC-32-checksummed records whose
-//!   payloads use the same wire encoding as the RPC layer
-//!   ([`crate::wire`], re-exported by `psrpc`).
+//! * **One log, one sequence.** Every durable record of every table goes
+//!   to one append-only file (`wal-000.log`) of length-prefixed,
+//!   CRC-32-checksummed records whose payloads use the same wire
+//!   encoding as the RPC layer ([`crate::wire`], re-exported by
+//!   `psrpc`). A record's log sequence number is minted *inside*
+//!   `Wal::append`, under the log mutex that also orders the buffer,
+//!   so **file order = LSN order by construction** — and the LSN doubles
+//!   as the record's commit ticket: a record is durable once the log's
+//!   monotone durable-LSN watermark has reached it.
 //!
-//! * **Group commit.** An insert appends its record to the shard's
+//! * **Group commit.** An insert appends its record to the log's
 //!   in-memory buffer while it still holds the table lock (so the log
 //!   order of one table equals its apply order), then waits for
 //!   durability *after* releasing it. The first waiter becomes the
@@ -26,16 +28,16 @@
 //!
 //! * **Checkpoints.** Every [`checkpoint_every`](crate::CacheBuilder::checkpoint_every)
 //!   records (or on [`Cache::checkpoint`](crate::Cache::checkpoint)) the
-//!   cache rotates every log shard, writes a snapshot of every table to
-//!   `snapshot.snap` (temp file + atomic rename), and deletes the rotated
-//!   logs. Each table records the LSN of its last logged record in the
-//!   snapshot, which is what makes replay exact under concurrency: a log
-//!   record is applied at recovery only if its LSN is newer than the
-//!   snapshot's watermark for its table.
+//!   cache rotates the log (`wal-000.log` → `wal-000.log.1`), writes a
+//!   snapshot of every table to `snapshot.snap` (temp file + atomic
+//!   rename), and deletes the rotated log. Each table records the LSN of
+//!   its last logged record in the snapshot, which is what makes replay
+//!   exact under concurrency: a log record is applied at recovery only
+//!   if its LSN is newer than the snapshot's watermark for its table.
 //!
 //! * **Recovery.** [`Cache::recover`](crate::Cache::recover) (or
 //!   [`CacheBuilder::open`](crate::CacheBuilder::open)) loads the
-//!   snapshot, replays every complete log record in global LSN order, and
+//!   snapshot, replays every complete log record in LSN order, and
 //!   stops at the first torn or corrupt frame — a crash mid-write loses
 //!   at most the records that were never acknowledged. Replay rebuilds
 //!   table state byte-for-byte (same rows, same order, same timestamps)
@@ -43,23 +45,33 @@
 //!   Ephemeral streams are not logged at all; after recovery they exist
 //!   (their DDL is durable) but are empty.
 //!
+//! * **Directories from older builds.** Earlier builds striped the log
+//!   over up to N files (`wal-NNN.log`). Recovery still reads *every*
+//!   `wal-NNN.log[.1]` it finds, merges them by LSN, and checkpoints
+//!   promptly; the checkpoint folds their records into the snapshot and
+//!   unlinks the extras, so such a directory opens losslessly and is a
+//!   single-log directory from then on. Racing stripes could also lose a
+//!   lower LSN while persisting a higher one, which is why recovery
+//!   reports a *contiguous* watermark beside the maximum (see
+//!   `Wal::open`); in a single-log directory the two are equal.
+//!
 //! * **Failure contract (fail-stop).** A write or fsync error wedges
-//!   the affected log shard permanently: the failing operation and
-//!   every later durable write on that shard return [`Error::Wal`]. A
-//!   row whose log append failed may already be visible in memory (it
-//!   was applied, and published, under the table lock before the
-//!   append) — the erroring insert tells the caller that memory has
-//!   diverged from the log, and the recommended response is to restart
-//!   the process and recover: recovery reflects acknowledged writes
-//!   only. This is the standard WAL trade: un-publishing a delivered
-//!   tuple is impossible, so a wedged log stops accepting work loudly
-//!   rather than silently widening the divergence.
+//!   the log permanently: the failing operation and every later durable
+//!   write return [`Error::Wal`]. A row whose log append failed may
+//!   already be visible in memory (it was applied, and published, under
+//!   the table lock before the append) — the erroring insert tells the
+//!   caller that memory has diverged from the log, and the recommended
+//!   response is to restart the process and recover: recovery reflects
+//!   acknowledged writes only. This is the standard WAL trade:
+//!   un-publishing a delivered tuple is impossible, so a wedged log
+//!   stops accepting work loudly rather than silently widening the
+//!   divergence.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 use gapl::event::{AttrType, Scalar};
 
@@ -71,7 +83,7 @@ use crate::wire::{WireReader, WireWriter};
 /// Name of the snapshot file inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
 
-/// When a shard's log must be flushed relative to the insert that wrote
+/// When the log must be flushed relative to the insert that wrote to
 /// it (see [`CacheBuilder::sync_policy`](crate::CacheBuilder::sync_policy)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
@@ -81,7 +93,7 @@ pub enum SyncPolicy {
     /// choice only when inserters are rare.
     Immediate,
     /// Group commit (the default): records are buffered, and one waiter
-    /// per shard flushes on behalf of everyone queued behind it. Inserts
+    /// flushes on behalf of everyone queued behind it. Inserts
     /// still return only after their record is on disk; concurrent
     /// inserters amortise the fsync.
     #[default]
@@ -217,8 +229,8 @@ pub(crate) enum ReplayOp {
         key: String,
     },
     /// An idempotency-token outcome, logged in the same critical section
-    /// (and to the same shard) as the mutation it covers so the two are
-    /// durable — or lost — together. Re-applying is idempotent.
+    /// as the mutation it covers so the two are durable — or lost —
+    /// together. Re-applying is idempotent.
     Token {
         /// Log sequence number of the record.
         lsn: u64,
@@ -435,7 +447,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<ReplayOp> {
 /// Scan `bytes` as a sequence of log frames and return how many
 /// **complete, checksummed** records it contains before the first torn or
 /// corrupt frame. This is the exact prefix [`Cache::recover`](crate::Cache::recover) will
-/// replay from that shard; the crash-recovery tests use it to predict
+/// replay from that file; the crash-recovery tests use it to predict
 /// recovered state from a truncated log.
 pub fn count_complete_records(bytes: &[u8]) -> usize {
     scan_frames(bytes).0.len()
@@ -478,71 +490,54 @@ pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
 /// Split a buffer of concatenated log frames into `(lsn, frame)` pairs
 /// — each frame slice **includes** its `[len][crc]` header and is
 /// checksum-validated; scanning stops at the first torn or corrupt
-/// frame, exactly like [`scan_frames`]. This is the shared walk behind
-/// the replication hub (re-sequencing sealed chunks) and the bootstrap
-/// backlog read.
-pub(crate) fn split_frames(bytes: &[u8]) -> Vec<(u64, &[u8])> {
-    let mut out = Vec::new();
+/// frame, exactly like [`count_complete_records`]. This is the walk
+/// behind the replication bootstrap's backlog read; the durability
+/// tests use it to check a log's LSN order and to rebuild older on-disk
+/// layouts.
+pub fn split_frames(bytes: &[u8]) -> Vec<(u64, &[u8])> {
     let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len =
-            u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4-byte slice"));
-        // Every record payload starts with its u64 LSN, so anything
-        // shorter (including the zero-filled torn-tail case) is not a
-        // record.
-        if len < 8 {
-            break;
-        }
-        let Some(end) = (pos + 8).checked_add(len) else {
-            break;
-        };
-        if end > bytes.len() {
-            break;
-        }
-        let payload = &bytes[pos + 8..end];
-        if crc32(payload) != crc {
-            break;
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8-byte slice"));
-        out.push((lsn, &bytes[pos..end]));
-        pos = end;
-    }
-    out
+    scan_frames(bytes)
+        .0
+        .into_iter()
+        .map_while(|payload| {
+            // Every record payload starts with its u64 LSN; anything
+            // shorter is not a record.
+            let lsn = u64::from_le_bytes(payload.get(..8)?.try_into().ok()?);
+            let frame = &bytes[pos..pos + 8 + payload.len()];
+            pos += frame.len();
+            Some((lsn, frame))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Files.
 // ---------------------------------------------------------------------------
 
-/// Path of shard `shard`'s live log inside `dir`.
-pub fn log_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("wal-{shard:03}.log"))
+/// Path of the live log inside `dir`.
+pub fn log_path(dir: &Path) -> PathBuf {
+    dir.join("wal-000.log")
 }
 
-fn rotated_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("wal-{shard:03}.log.1"))
+/// Where the live log is parked while a checkpoint's snapshot is written.
+fn rotated_path(dir: &Path) -> PathBuf {
+    dir.join("wal-000.log.1")
 }
 
-/// Open `dir` (creating it) and list the shard indices that currently
-/// have a live or rotated log file.
-fn existing_shards(dir: &Path) -> Result<Vec<usize>> {
-    let mut shards = Vec::new();
+/// Every `wal-*.log` / `wal-*.log.1` file in `dir`, in name order — the
+/// live log, its rotated predecessor, and whatever stripes an older
+/// build left behind.
+fn log_files(dir: &Path) -> Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
+        let name = entry?.file_name();
         let name = name.to_string_lossy();
-        if let Some(rest) = name.strip_prefix("wal-") {
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            if let Ok(idx) = digits.parse::<usize>() {
-                if !shards.contains(&idx) {
-                    shards.push(idx);
-                }
-            }
+        if name.starts_with("wal-") && (name.ends_with(".log") || name.ends_with(".log.1")) {
+            files.push(dir.join(&*name));
         }
     }
-    shards.sort_unstable();
-    Ok(shards)
+    files.sort_unstable();
+    Ok(files)
 }
 
 fn fsync_dir(dir: &Path) -> Result<()> {
@@ -808,62 +803,55 @@ pub(crate) struct Recovery {
 }
 
 #[derive(Debug)]
-struct ShardState {
+struct LogState {
     file: File,
     /// Frames appended but not yet written to the file.
     buf: Vec<u8>,
-    /// Commit tickets issued (monotone per shard).
-    appended: u64,
-    /// Highest ticket whose frame is durable under the current policy.
-    durable: u64,
+    /// The LSN the next locally minted record receives.
+    next_lsn: u64,
+    /// LSN of the newest appended frame (buffered or written).
+    appended_lsn: u64,
+    /// The durable watermark: every appended frame at or below this LSN
+    /// is on disk under the current policy. Never ahead of
+    /// `appended_lsn`; the two are equal exactly when the log is clean.
+    durable_lsn: u64,
     /// A group-commit leader is writing outside the lock.
     syncing: bool,
-    /// A write or fsync failed; the log is wedged and every commit on
-    /// this shard reports the error.
+    /// A write or fsync failed; the log is wedged and every commit
+    /// reports the error.
     failed: Option<String>,
 }
 
-#[derive(Debug)]
-struct WalShard {
-    state: Mutex<ShardState>,
-    cond: Condvar,
-}
-
-/// A commit ticket: proof that a record was appended, used to wait for
-/// its durability after the table lock is released.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WalTicket {
-    shard: usize,
-    seq: u64,
-}
-
-impl WalTicket {
-    /// The log shard this ticket commits on; the follower apply path
-    /// waits for the *last* ticket of each shard instead of every one.
-    pub(crate) fn shard_index(&self) -> usize {
-        self.shard
+impl LogState {
+    fn check(&self) -> Result<()> {
+        match &self.failed {
+            Some(why) => Err(Error::wal(why.clone())),
+            None => Ok(()),
+        }
     }
 }
 
 /// A consumer of sealed log bytes — the replication tailer. The sink is
-/// handed every chunk of framed records in the order it reached the log
-/// *file* of its shard; chunks from different shards arrive unordered
-/// and carry their LSNs in-band, so the hub behind the sink re-sequences
-/// them into the global commit order.
-pub(crate) type ReplSink = Arc<dyn Fn(&[u8]) + Send + Sync>;
+/// handed `(hi, chunk)`: a run of framed records in the order they
+/// reached the log file, and the LSN of the last one. Chunks arrive in
+/// file order, which is LSN order, so consecutive chunks tile the
+/// sequence: on a primary each covers exactly `(previous hi, hi]`.
+pub(crate) type ReplSink = Arc<dyn Fn(u64, &[u8]) + Send + Sync>;
 
 /// Everything durable on disk for a replication bootstrap: the raw
 /// snapshot file (if any) plus every complete framed record as
 /// `(lsn, frame bytes)`, deduplicated and sorted by LSN.
 pub(crate) type Backlog = (Option<Vec<u8>>, Vec<(u64, Vec<u8>)>);
 
-/// The write-ahead log: one buffered, group-committed file per table
-/// store stripe. See the [module documentation](self).
+/// The write-ahead log: one buffered, group-committed file. See the
+/// [module documentation](self).
 pub(crate) struct Wal {
     dir: PathBuf,
     policy: SyncPolicy,
-    shards: Box<[WalShard]>,
-    next_lsn: AtomicU64,
+    state: Mutex<LogState>,
+    /// Signalled whenever `durable_lsn` advances, the leader slot frees
+    /// up, or the log wedges.
+    durable: Condvar,
     /// Highest LSN found on disk when the log was opened (0 for a fresh
     /// directory); the replication hub starts its commit watermark here.
     recovered_lsn: u64,
@@ -878,11 +866,11 @@ pub(crate) struct Wal {
     replayed: AtomicU64,
     /// Where sealed frames are shipped (the replication hub), when the
     /// cache serves a replication stream.
-    sink: std::sync::RwLock<Option<ReplSink>>,
+    sink: RwLock<Option<ReplSink>>,
     /// The cache's observability registry, installed right after open
     /// (see [`Wal::set_obs`]); append / group-commit-wait / fsync
     /// durations are recorded into it.
-    obs: std::sync::OnceLock<Arc<crate::obs::Obs>>,
+    obs: OnceLock<Arc<crate::obs::Obs>>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -890,28 +878,15 @@ impl std::fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("dir", &self.dir)
             .field("policy", &self.policy)
-            .field("shards", &self.shards.len())
             .finish()
     }
-}
-
-fn lock<'a>(m: &'a Mutex<ShardState>) -> MutexGuard<'a, ShardState> {
-    // A panic while holding the shard lock poisons it; the state itself
-    // is bytes and counters, which remain internally consistent, so
-    // recover the guard rather than wedging every committer forever.
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl Wal {
     /// Open (or create) the durability directory, read the snapshot and
     /// every complete log record, and return the log ready for appends
     /// plus everything the cache must replay.
-    pub fn open(
-        dir: &Path,
-        shard_count: usize,
-        policy: SyncPolicy,
-        checkpoint_every: u64,
-    ) -> Result<(Wal, Recovery)> {
+    pub fn open(dir: &Path, policy: SyncPolicy, checkpoint_every: u64) -> Result<(Wal, Recovery)> {
         fs::create_dir_all(dir)?;
 
         let snapshot_path = dir.join(SNAPSHOT_FILE);
@@ -928,72 +903,64 @@ impl Wal {
         let mut created: std::collections::HashSet<String> =
             snapshot.tables.iter().map(|t| t.name.clone()).collect();
 
-        // Read every log file present — rotated (`.log.1`) and live — not
-        // just the shards the current configuration would use: the shard
-        // count may have changed across restarts. Records are merged and
-        // replayed in global LSN order, so the file layout never affects
-        // replay semantics.
+        // Read every log file present, not just the live one: a rotated
+        // log survives an interrupted checkpoint, and a directory
+        // written by an older build holds one file per stripe. Records
+        // are merged and replayed in LSN order, so the file layout never
+        // affects replay semantics.
+        let live = log_path(dir);
         let mut ops: Vec<ReplayOp> = Vec::new();
         let mut needs_checkpoint = false;
         let mut max_lsn = snapshot_high_watermark(&snapshot);
-        for shard in existing_shards(dir)? {
-            if shard >= shard_count.max(1) {
-                // An orphan from a larger previous shard_count: nothing
-                // will ever append to it again, so checkpoint promptly —
-                // once the snapshot covers its records, rotate_end
-                // reclaims the file instead of re-scanning it forever.
+        for path in log_files(dir)? {
+            if path != live {
+                // Nothing will ever append to this file again, so
+                // checkpoint promptly — once the snapshot covers its
+                // records, rotate_end reclaims the file instead of
+                // re-scanning it forever.
                 needs_checkpoint = true;
             }
-            for (path, rotated) in [
-                (rotated_path(dir, shard), true),
-                (log_path(dir, shard), false),
-            ] {
-                if !path.exists() {
-                    continue;
-                }
-                if rotated {
-                    needs_checkpoint = true;
-                }
-                let mut bytes = Vec::new();
-                File::open(&path)?.read_to_end(&mut bytes)?;
-                let (payloads, valid_len) = scan_frames(&bytes);
-                for payload in payloads {
-                    let op = decode_record(payload)?;
-                    max_lsn = max_lsn.max(op.lsn());
-                    ops.push(op);
-                }
-                if valid_len < bytes.len() {
-                    // Chop the torn tail off so appended records always
-                    // follow the last valid frame — recovery must never
-                    // find garbage *between* valid records. This matters
-                    // for rotated files too: an interrupted checkpoint
-                    // may later append the live log onto this very file
-                    // (rotate_begin's no-clobber path), and those
-                    // records must not land behind a torn frame.
-                    OpenOptions::new()
-                        .write(true)
-                        .open(&path)?
-                        .set_len(valid_len as u64)?;
-                }
+            let mut bytes = Vec::new();
+            File::open(&path)?.read_to_end(&mut bytes)?;
+            let (payloads, valid_len) = scan_frames(&bytes);
+            for payload in payloads {
+                let op = decode_record(payload)?;
+                max_lsn = max_lsn.max(op.lsn());
+                ops.push(op);
+            }
+            if valid_len < bytes.len() {
+                // Chop the torn tail off so appended records always
+                // follow the last valid frame — recovery must never
+                // find garbage *between* valid records. This matters
+                // for the rotated file too: an interrupted checkpoint
+                // may later append the live log onto this very file
+                // (rotate_begin's no-clobber path), and those records
+                // must not land behind a torn frame.
+                OpenOptions::new()
+                    .write(true)
+                    .open(&path)?
+                    .set_len(valid_len as u64)?;
             }
         }
         ops.sort_by_key(ReplayOp::lsn);
         // A crash between "append live log onto a surviving rotated file"
         // and "truncate live log" (see rotate_begin) leaves the same
-        // records in both files; LSNs are globally unique per record, so
+        // records in both files; an LSN names exactly one record, so
         // duplicates are exactly that and the first copy wins.
         ops.dedup_by_key(|op| op.lsn());
         // The *contiguous* recovered watermark: the highest LSN such
         // that every record above the snapshot's high watermark and at
-        // or below it survived on disk. A crash between the per-shard
-        // fsyncs of one commit wave can persist a higher-LSN record
-        // while losing a lower one; `max_lsn` papers over that hole
-        // (correct for a primary, whose lost record was simply never
-        // acknowledged), but a *replica* resuming its subscription must
-        // resume from the contiguous point, or the hole would never be
-        // re-fetched from the primary that still has the record.
-        let snapshot_high = snapshot_high_watermark(&snapshot);
-        let mut contiguous_lsn = snapshot_high;
+        // or below it survived on disk. One log cannot lose a record
+        // below a surviving one — its torn tail is cut at the first bad
+        // frame — so here this equals `max_lsn`. The striped logs of an
+        // older build could: a crash between their per-file fsyncs
+        // persists a higher-LSN record while losing a lower one.
+        // `max_lsn` papers over that hole (correct for a primary, whose
+        // lost record was simply never acknowledged), but a *replica*
+        // resuming its subscription must resume from the contiguous
+        // point, or the hole would never be re-fetched from the primary
+        // that still has the record.
+        let mut contiguous_lsn = snapshot_high_watermark(&snapshot);
         for op in &ops {
             let lsn = op.lsn();
             if lsn <= contiguous_lsn {
@@ -1015,33 +982,25 @@ impl Wal {
             other => other.lsn() > watermarks.get(other.table()).copied().unwrap_or(0),
         });
 
-        let shards = (0..shard_count.max(1))
-            .map(|shard| {
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(log_path(dir, shard))?;
-                Ok(WalShard {
-                    state: Mutex::new(ShardState {
-                        file,
-                        buf: Vec::new(),
-                        appended: 0,
-                        durable: 0,
-                        syncing: false,
-                        failed: None,
-                    }),
-                    cond: Condvar::new(),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?
-            .into_boxed_slice();
-
+        let file = OpenOptions::new().create(true).append(true).open(&live)?;
         let replayed = ops.len() as u64;
         let wal = Wal {
             dir: dir.to_path_buf(),
             policy,
-            shards,
-            next_lsn: AtomicU64::new(max_lsn + 1),
+            state: Mutex::new(LogState {
+                file,
+                buf: Vec::new(),
+                next_lsn: max_lsn + 1,
+                // Every record at or below the contiguous point is on
+                // disk, and every future append lies above it: a primary
+                // mints from `max_lsn + 1`, a replica resumes its
+                // stream from exactly here.
+                appended_lsn: contiguous_lsn,
+                durable_lsn: contiguous_lsn,
+                syncing: false,
+                failed: None,
+            }),
+            durable: Condvar::new(),
             recovered_lsn: max_lsn,
             recovered_contiguous_lsn: contiguous_lsn,
             checkpoint_every,
@@ -1050,8 +1009,8 @@ impl Wal {
             syncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             replayed: AtomicU64::new(replayed),
-            sink: std::sync::RwLock::new(None),
-            obs: std::sync::OnceLock::new(),
+            sink: RwLock::new(None),
+            obs: OnceLock::new(),
         };
         Ok((
             wal,
@@ -1068,11 +1027,6 @@ impl Wal {
         &self.dir
     }
 
-    /// Allocate the next global log sequence number.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Highest LSN found on disk when the log was opened.
     pub fn recovered_lsn(&self) -> u64 {
         self.recovered_lsn
@@ -1084,16 +1038,39 @@ impl Wal {
         self.recovered_contiguous_lsn
     }
 
-    /// Ensure the next allocated LSN is at least `to`. Used at follower
+    fn lock(&self) -> MutexGuard<'_, LogState> {
+        // A panic while holding the log lock poisons it; the state
+        // itself is bytes and counters, which remain internally
+        // consistent, so recover the guard rather than wedging every
+        // committer forever.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn wait<'a>(&self, state: MutexGuard<'a, LogState>) -> MutexGuard<'a, LogState> {
+        self.durable.wait(state).unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Lock the log with no group-commit leader in flight, so the
+    /// caller may write to (or swap) the file itself.
+    fn lock_idle(&self) -> MutexGuard<'_, LogState> {
+        let mut state = self.lock();
+        while state.syncing {
+            state = self.wait(state);
+        }
+        state
+    }
+
+    /// Ensure the next minted LSN is at least `to`. Used at follower
     /// promotion: the promoted cache must mint LSNs strictly above every
     /// record it replicated, or its own writes would collide with the
     /// history it inherited.
     pub fn bump_next_lsn(&self, to: u64) {
-        self.next_lsn.fetch_max(to, Ordering::Relaxed);
+        let mut state = self.lock();
+        state.next_lsn = state.next_lsn.max(to);
     }
 
     /// Install the replication tailer: every chunk of framed records is
-    /// handed to `sink` as soon as it reaches the shard's log file.
+    /// handed to `sink` as soon as it reaches the log file.
     pub fn set_sink(&self, sink: ReplSink) {
         *self.sink.write().unwrap_or_else(|p| p.into_inner()) = Some(sink);
     }
@@ -1126,15 +1103,13 @@ impl Wal {
         }
     }
 
-    /// Ship `chunk` (concatenated framed records, in the order they hit
-    /// one shard's file) to the replication tailer, if one is attached.
-    fn ship(&self, chunk: &[u8]) {
-        if chunk.is_empty() {
-            return;
-        }
+    /// Ship `chunk` (the framed records that just reached the file, the
+    /// last of which carries LSN `hi`) to the replication tailer, if one
+    /// is attached.
+    fn ship(&self, hi: u64, chunk: &[u8]) {
         let sink = self.sink.read().unwrap_or_else(|p| p.into_inner());
         if let Some(sink) = sink.as_ref() {
-            sink(chunk);
+            sink(hi, chunk);
         }
     }
 
@@ -1155,74 +1130,84 @@ impl Wal {
             && self.records_since_checkpoint.load(Ordering::Relaxed) >= self.checkpoint_every
     }
 
-    /// Append one framed record to `shard`'s log. Callers hold the
-    /// affected table's lock, which is what makes a table's log order
-    /// equal its apply order; the returned ticket is awaited *after*
-    /// that lock is released.
-    pub fn append(&self, shard: usize, framed: &[u8]) -> Result<WalTicket> {
+    /// Mint the next LSN and append the record `encode` frames for it,
+    /// both under the log mutex — which is what makes file order equal
+    /// LSN order. Callers hold the affected table's lock, so a table's
+    /// log order also equals its apply order. The returned LSN is the
+    /// record's commit ticket: pass it to [`Wal::wait_durable`] *after*
+    /// the table lock is released.
+    pub fn append(&self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
         let t = self.obs_timer();
-        let shard_idx = shard % self.shards.len();
-        let s = &self.shards[shard_idx];
-        let mut state = lock(&s.state);
-        if let Some(why) = &state.failed {
-            return Err(Error::wal(why.clone()));
+        let mut state = self.lock();
+        state.check()?;
+        let lsn = state.next_lsn;
+        state.next_lsn += 1;
+        self.push(&mut state, lsn, &encode(lsn))?;
+        self.obs_record(t, |o| &o.wal_append_ns);
+        Ok(lsn)
+    }
+
+    /// Append a frame that already carries `lsn` — the follower apply
+    /// path, whose log is a verbatim copy of the primary's. The stream
+    /// delivers frames in LSN order; one at or below the newest
+    /// appended frame would let its durability wait return before the
+    /// frame is on disk, so it is refused.
+    pub fn append_frame(&self, lsn: u64, framed: &[u8]) -> Result<()> {
+        let t = self.obs_timer();
+        let mut state = self.lock();
+        state.check()?;
+        if lsn <= state.appended_lsn {
+            return Err(Error::wal(format!(
+                "replicated frame {lsn} is not above the log's newest frame {}",
+                state.appended_lsn
+            )));
         }
+        self.push(&mut state, lsn, framed)?;
+        self.obs_record(t, |o| &o.wal_append_ns);
+        Ok(())
+    }
+
+    fn push(&self, state: &mut LogState, lsn: u64, framed: &[u8]) -> Result<()> {
         state.buf.extend_from_slice(framed);
-        state.appended += 1;
-        let seq = state.appended;
+        state.appended_lsn = lsn;
         self.records.fetch_add(1, Ordering::Relaxed);
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
         match self.policy {
-            SyncPolicy::Immediate => {
-                // One write + one fsync per record, inside the append.
-                self.flush_locked(s, &mut state, true)?;
-            }
-            SyncPolicy::OsOnly => {
-                // Hand the bytes to the OS now (so a *process* crash loses
-                // nothing) but leave the disk flush to flush()/checkpoints.
-                self.flush_locked(s, &mut state, false)?;
-            }
-            SyncPolicy::Group => {}
+            // One write + one fsync per record, inside the append.
+            SyncPolicy::Immediate => self.flush_locked(state, true),
+            // Hand the bytes to the OS now (so a *process* crash loses
+            // nothing) but leave the disk flush to flush()/checkpoints.
+            SyncPolicy::OsOnly => self.flush_locked(state, false),
+            SyncPolicy::Group => Ok(()),
         }
-        self.obs_record(t, |o| &o.wal_append_ns);
-        Ok(WalTicket {
-            shard: shard_idx,
-            seq,
-        })
     }
 
-    /// Block until the record behind `ticket` is durable. Under
+    /// Block until the record with LSN `lsn` is durable. Under
     /// [`SyncPolicy::Group`] the first waiter flushes for everyone
     /// queued behind it (leader election via the `syncing` flag); under
     /// the other policies the append already did the work.
-    pub fn wait_durable(&self, ticket: WalTicket) -> Result<()> {
+    pub fn wait_durable(&self, lsn: u64) -> Result<()> {
         if !matches!(self.policy, SyncPolicy::Group) {
             return Ok(());
         }
         let t = self.obs_timer();
-        let result = self.wait_durable_group(ticket);
+        let result = self.wait_durable_group(lsn);
         self.obs_record(t, |o| &o.wal_commit_wait_ns);
         result
     }
 
     /// [`Wal::wait_durable`] under [`SyncPolicy::Group`]: wait for (or
-    /// lead) the flush covering `ticket`.
-    fn wait_durable_group(&self, ticket: WalTicket) -> Result<()> {
-        let s = &self.shards[ticket.shard];
-        let mut state = lock(&s.state);
+    /// lead) the flush that moves the durable watermark to `lsn`.
+    fn wait_durable_group(&self, lsn: u64) -> Result<()> {
+        let mut state = self.lock();
         loop {
-            if let Some(why) = &state.failed {
-                return Err(Error::wal(why.clone()));
-            }
-            if state.durable >= ticket.seq {
+            state.check()?;
+            if state.durable_lsn >= lsn {
                 return Ok(());
             }
             if state.syncing {
-                state = s
-                    .cond
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                state = self.wait(state);
                 continue;
             }
             // Become the leader: take every frame buffered so far and
@@ -1230,7 +1215,7 @@ impl Wal {
             // concurrent appenders to keep queueing.
             state.syncing = true;
             let chunk = std::mem::take(&mut state.buf);
-            let target = state.appended;
+            let target = state.appended_lsn;
             let file = state.file.try_clone();
             drop(state);
             let outcome = file.map_err(Error::from).and_then(|file| {
@@ -1242,23 +1227,25 @@ impl Wal {
             });
             if outcome.is_ok() {
                 // Still the leader (`syncing` is ours), so chunks reach
-                // the replication tailer in this shard's file order.
-                self.ship(&chunk);
+                // the replication tailer in file order.
+                self.ship(target, &chunk);
             }
             self.syncs.fetch_add(1, Ordering::Relaxed);
-            state = lock(&s.state);
+            state = self.lock();
             state.syncing = false;
             match outcome {
-                Ok(()) => state.durable = state.durable.max(target),
+                Ok(()) => state.durable_lsn = target,
                 Err(e) => state.failed = Some(e.to_string()),
             }
-            s.cond.notify_all();
+            self.durable.notify_all();
         }
     }
 
-    /// Write (and, when `sync`, fsync) everything buffered on one shard.
-    /// The state lock is held and no leader is in flight.
-    fn flush_locked(&self, s: &WalShard, state: &mut ShardState, sync: bool) -> Result<()> {
+    /// Write (and, when `sync`, fsync) everything buffered. The state
+    /// lock is held and no leader is in flight. A clean log — nothing
+    /// buffered, nothing written since the last fsync — costs no
+    /// syscall and counts no sync.
+    fn flush_locked(&self, state: &mut LogState, sync: bool) -> Result<()> {
         debug_assert!(!state.syncing);
         if !state.buf.is_empty() {
             let buf = std::mem::take(&mut state.buf);
@@ -1267,10 +1254,10 @@ impl Wal {
                 return Err(e.into());
             }
             // The bytes are in the log file: seal them for replication.
-            // The shard lock is held, so chunks ship in file order.
-            self.ship(&buf);
+            // The log lock is held, so chunks ship in file order.
+            self.ship(state.appended_lsn, &buf);
         }
-        if sync {
+        if sync && state.durable_lsn < state.appended_lsn {
             let t = self.obs_timer();
             if let Err(e) = state.file.sync_data() {
                 state.failed = Some(e.to_string());
@@ -1278,77 +1265,56 @@ impl Wal {
             }
             self.obs_record(t, |o| &o.wal_fsync_ns);
             self.syncs.fetch_add(1, Ordering::Relaxed);
-            state.durable = state.appended;
-            s.cond.notify_all();
+            state.durable_lsn = state.appended_lsn;
+            self.durable.notify_all();
         }
         Ok(())
     }
 
-    /// Force every shard's buffered records onto disk. This is the
+    /// Force the buffered records onto disk. This is the
     /// flush-before-ack hook: under [`SyncPolicy::OsOnly`] it upgrades
     /// best-effort writes to durable ones. Under the other policies it
     /// returns immediately: every *completed* insert already waited for
-    /// its own durability, and sweeping the shards here would steal
+    /// its own durability, and sweeping the buffer here would steal
     /// records out of in-flight group-commit convoys — extra fsyncs
     /// that shrink exactly the batches group commit exists to build.
     pub fn flush(&self) -> Result<()> {
         if !matches!(self.policy, SyncPolicy::OsOnly) {
             return Ok(());
         }
-        for s in self.shards.iter() {
-            let mut state = lock(&s.state);
-            while state.syncing {
-                state = s
-                    .cond
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            if let Some(why) = &state.failed {
-                return Err(Error::wal(why.clone()));
-            }
-            if !state.buf.is_empty() || state.durable < state.appended {
-                self.flush_locked(s, &mut state, true)?;
-            }
-        }
-        Ok(())
+        let mut state = self.lock_idle();
+        state.check()?;
+        self.flush_locked(&mut state, true)
     }
 
-    /// Checkpoint phase 1: flush and rotate every shard's log so the
-    /// snapshot about to be taken is never older than any record left in
-    /// a live log file. New appends go to fresh files immediately.
+    /// Checkpoint phase 1: flush and rotate the log so the snapshot
+    /// about to be taken is never older than any record left in the
+    /// live log file. New appends go to a fresh file immediately.
     ///
     /// If a rotated file survives from a checkpoint that failed or
     /// crashed before its snapshot landed, its records are **not yet
     /// covered by any snapshot** — renaming over it would destroy
     /// acknowledged writes. The live log is appended onto the existing
-    /// rotated file instead (replay sorts by LSN, so intra-file order
-    /// never matters), and only then truncated.
+    /// rotated file instead (its records are all newer, so the file
+    /// stays in LSN order), and only then truncated.
     pub fn rotate_begin(&self) -> Result<()> {
-        for (idx, s) in self.shards.iter().enumerate() {
-            let mut state = lock(&s.state);
-            while state.syncing {
-                state = s
-                    .cond
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            self.flush_locked(s, &mut state, true)?;
-            let live = log_path(&self.dir, idx);
-            let rotated = rotated_path(&self.dir, idx);
-            if rotated.exists() {
-                let mut bytes = Vec::new();
-                File::open(&live)?.read_to_end(&mut bytes)?;
-                let mut dst = OpenOptions::new().append(true).open(&rotated)?;
-                dst.write_all(&bytes)?;
-                dst.sync_data()?;
-                state.file.set_len(0)?;
-            } else {
-                fs::rename(&live, &rotated)?;
-                state.file = OpenOptions::new().create(true).append(true).open(&live)?;
-            }
+        let mut state = self.lock_idle();
+        self.flush_locked(&mut state, true)?;
+        let live = log_path(&self.dir);
+        let rotated = rotated_path(&self.dir);
+        if rotated.exists() {
+            let mut bytes = Vec::new();
+            File::open(&live)?.read_to_end(&mut bytes)?;
+            let mut dst = OpenOptions::new().append(true).open(&rotated)?;
+            dst.write_all(&bytes)?;
+            dst.sync_data()?;
+            state.file.set_len(0)?;
+        } else {
+            fs::rename(&live, &rotated)?;
+            state.file = OpenOptions::new().create(true).append(true).open(&live)?;
         }
-        fsync_dir(&self.dir)?;
-        Ok(())
+        drop(state);
+        fsync_dir(&self.dir)
     }
 
     /// Checkpoint phase 2: persist the snapshot atomically (temp file,
@@ -1365,14 +1331,27 @@ impl Wal {
         Ok(())
     }
 
-    /// Checkpoint phase 3: the snapshot is durable, so every rotated log
-    /// (whose records it covers) can go — and so can any orphan live log
-    /// from a larger previous `shard_count` (no append can ever reach a
-    /// shard index at or beyond the current count, so its records are
-    /// all in the snapshot too).
+    /// Checkpoint phase 3: the snapshot is durable, so every log file
+    /// but the live one can go — the rotated log, whose records the
+    /// snapshot covers, and any stripe file an older build left behind
+    /// (nothing appends to those, and their records were replayed into
+    /// the snapshotted tables at open).
+    pub fn rotate_end(&self) -> Result<()> {
+        let live = log_path(&self.dir);
+        for path in log_files(&self.dir)? {
+            if path != live {
+                fs::remove_file(path)?;
+            }
+        }
+        fsync_dir(&self.dir)?;
+        self.records_since_checkpoint.store(0, Ordering::Relaxed);
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Read everything durable on disk for a replication bootstrap: the
     /// raw snapshot file (if any) and every complete framed record in
-    /// the log files, re-framed, deduplicated and sorted by LSN.
+    /// the log files, deduplicated and sorted by LSN.
     ///
     /// Callers hold the cache's checkpoint lock, so no rotation can
     /// delete or rename a log file mid-read. Records buffered in memory
@@ -1387,15 +1366,10 @@ impl Wal {
             None
         };
         let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
-        for shard in existing_shards(&self.dir)? {
-            for path in [rotated_path(&self.dir, shard), log_path(&self.dir, shard)] {
-                if !path.exists() {
-                    continue;
-                }
-                let bytes = fs::read(&path)?;
-                for (lsn, frame) in split_frames(&bytes) {
-                    frames.push((lsn, frame.to_vec()));
-                }
+        for path in log_files(&self.dir)? {
+            let bytes = fs::read(&path)?;
+            for (lsn, frame) in split_frames(&bytes) {
+                frames.push((lsn, frame.to_vec()));
             }
         }
         frames.sort_by_key(|(lsn, _)| *lsn);
@@ -1405,48 +1379,25 @@ impl Wal {
 
     /// Replace the entire on-disk state with `snapshot` — the follower
     /// bootstrap path: a shipped snapshot supersedes whatever the
-    /// follower had, so its live logs are truncated, rotated leftovers
-    /// removed, and the snapshot written in their place. The follower's
-    /// replication thread is the only writer, so no append can race the
-    /// reset.
+    /// follower had, so its live log is truncated, a rotated leftover
+    /// removed, and the snapshot written in their place. The watermark
+    /// restarts at the snapshot's high LSN — a plain store, because a
+    /// divergence reset moves it *backwards* — which every frame the
+    /// stream delivers afterwards lies above. The follower's replication
+    /// thread is the only writer, so no append can race the reset.
     pub fn reset_to_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        for (idx, s) in self.shards.iter().enumerate() {
-            let mut state = lock(&s.state);
-            while state.syncing {
-                state = s
-                    .cond
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            state.buf.clear();
-            state.durable = state.appended;
-            state.file.set_len(0)?;
-            let rotated = rotated_path(&self.dir, idx);
-            if rotated.exists() {
-                fs::remove_file(rotated)?;
-            }
+        let mut state = self.lock_idle();
+        state.buf.clear();
+        state.appended_lsn = snapshot_high_watermark(snapshot);
+        state.durable_lsn = state.appended_lsn;
+        state.file.set_len(0)?;
+        let rotated = rotated_path(&self.dir);
+        if rotated.exists() {
+            fs::remove_file(rotated)?;
         }
+        drop(state);
         self.write_snapshot(snapshot)?;
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        Ok(())
-    }
-
-    pub fn rotate_end(&self) -> Result<()> {
-        for idx in existing_shards(&self.dir)? {
-            let rotated = rotated_path(&self.dir, idx);
-            if rotated.exists() {
-                fs::remove_file(rotated)?;
-            }
-            if idx >= self.shards.len() {
-                let orphan = log_path(&self.dir, idx);
-                if orphan.exists() {
-                    fs::remove_file(orphan)?;
-                }
-            }
-        }
-        fsync_dir(&self.dir)?;
-        self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -1460,6 +1411,26 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn replicated_frames_are_refused_unless_above_the_newest_frame() {
+        let dir = std::env::temp_dir().join(format!("pscache-wal-order-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (wal, _) = Wal::open(&dir, SyncPolicy::Group, 0).unwrap();
+        let frame = |lsn| encode_remove(lsn, "T", "k");
+        wal.append_frame(3, &frame(3)).unwrap();
+        // A repeat or a straggler could be acknowledged without ever
+        // reaching the disk: the watermark already covers its LSN.
+        assert!(wal.append_frame(3, &frame(3)).is_err());
+        assert!(wal.append_frame(2, &frame(2)).is_err());
+        wal.append_frame(7, &frame(7)).unwrap();
+        wal.wait_durable(7).unwrap();
+        let bytes = fs::read(log_path(&dir)).unwrap();
+        let lsns: Vec<u64> = split_frames(&bytes).iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(lsns, [3, 7]);
+        assert_eq!(wal.stats().syncs, 1, "one group commit covered both frames");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

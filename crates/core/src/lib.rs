@@ -58,7 +58,7 @@ pub use psrpc;
 pub use pscache::{
     Aggregate, AutomatonId, AutomatonTelemetry, Cache, CacheBuilder, Comparison, DispatchStats,
     Error, Notification, Predicate, Query, Response, Result, ResultSet, TableKind,
-    DEFAULT_AUTOMATON_WORKERS, DEFAULT_SHARD_COUNT,
+    DEFAULT_AUTOMATON_WORKERS,
 };
 pub use psrpc::server::ServerStats;
 

@@ -9,7 +9,7 @@
 //!
 //! * the accept loop only accepts; every connection gets a dedicated
 //!   **worker thread** that decodes and executes its requests against the
-//!   (internally sharded) cache, so clients inserting into different
+//!   cache (one lock per table), so clients inserting into different
 //!   tables run truly in parallel;
 //! * each connection also owns a **writer thread**, the single point that
 //!   serialises replies and asynchronous notifications onto the socket;

@@ -22,20 +22,10 @@
 #           scatter-gather intact, subscriptions resume exactly-once —
 #           plus the differential property suite proving a partitioned
 #           cluster is indistinguishable from one cache
-#   bench   the benchmark floors: query-window >= 10x
-#           (BENCH_query.json), fan-out >= 10x (BENCH_fanout.json),
-#           WAL group commit >= 5x (BENCH_wal.json), replication
-#           drained + follower reads within 2x (BENCH_repl.json),
-#           RPC pipelining >= 10x the serial read ceiling at 16
-#           connections (BENCH_rpc.json), protection layer — dedup
-#           within 10% of the untokened hot path and flood fairness
-#           >= 0.5 (BENCH_protect.json), lock-free read path —
-#           snapshot selects >= 4x the mutex baseline at 8 readers
-#           with writer throughput >= 0.8x (BENCH_readpath.json),
-#           cluster sharding — 2-partition durable write speedup
-#           >= 1.6x over a single primary (BENCH_cluster.json),
-#           observability — instrumented RPC and select throughput
-#           both >= 0.95x the metrics(false) build (BENCH_obs.json)
+#   psbench the end-to-end benchmark's smoke run (benchmark/smoke.sh):
+#           all four psbench workloads, briefly, with their correctness
+#           oracles — SIGKILL-and-recover, follower-equals-primary
+#   bench   the benchmark floors: every row of the FLOORS table below
 #
 # Every floor is parsed hard by the bench crate's `check_floor` binary:
 # a missing or unparsable metric fails the gate — a bench that did not
@@ -64,15 +54,29 @@ run_stage() {
     STAGES_RUN="${STAGES_RUN}${stage_name} "
 }
 
-# require_floor <json-file> <key> <floor> <description>
-# Delegates to the bench crate's `check_floor` binary, which parses the
-# snapshot with a real number scanner (scientific notation, negative
-# values and reformatting are handled, unlike the `grep -o` scraper it
-# replaced) and fails hard when the key is absent, unparsable, or below
-# the floor.
-require_floor() {
-    cargo run --release -q -p cep_bench --bin check_floor -- "$@"
-}
+# The benchmark floors, one per row:
+#
+#   bench-binary  json-file  key  floor  description
+#
+# `stage_bench` runs each cep_bench binary once (it writes its json
+# file at the repository root) and then holds every one of its rows to
+# `key >= floor`. This table is the only list of floors there is: the
+# skip path prints these same rows.
+FLOORS='
+bench_query     BENCH_query.json     window_speedup         10.0  100k-row 1% window speedup over a full scan
+bench_fanout    BENCH_fanout.json    speedup                10.0  indexed dispatch speedup at 1000 automata / 1% selectivity
+bench_wal       BENCH_wal.json       group_commit_speedup   5.0   group-commit speedup at 16 concurrent inserters
+bench_repl      BENCH_repl.json      converged              1     replication stream drained to zero staleness
+bench_repl      BENCH_repl.json      follower_read_ratio    0.5   follower/primary read-throughput ratio
+bench_rpc       BENCH_rpc.json       rpc_speedup_16         10.0  pipelined/serial-baseline read speedup at 16 connections
+bench_protect   BENCH_protect.json   protect_dedup_ratio    0.9   tokened/untokened insert throughput ratio
+bench_protect   BENCH_protect.json   protect_fairness_ratio 0.5   paced-client flooded/isolated throughput ratio
+bench_readpath  BENCH_readpath.json  read_speedup_8r        4.0   snapshot-read speedup at 8 reader threads
+bench_readpath  BENCH_readpath.json  writer_ratio           0.8   writer throughput vs mutex baseline
+bench_cluster   BENCH_cluster.json   cluster_speedup_2      1.6   2-partition durable write speedup
+bench_obs       BENCH_obs.json       obs_rpc_ratio          0.95  instrumented/uninstrumented RPC insert throughput
+bench_obs       BENCH_obs.json       obs_read_ratio         0.95  instrumented/uninstrumented select throughput
+'
 
 # ---------------------------------------------------------------------
 # Stages.
@@ -98,43 +102,32 @@ stage_docs() {
 }
 
 stage_bench() {
-    if [ "${CI_SKIP_BENCH:-0}" = "1" ]; then
-        # Every floor that would have run is named: a skipped gate must
-        # read as "9 floors NOT checked", never as a quiet pass.
-        for floor in \
-            "query window_speedup >= 10" \
-            "fanout speedup >= 10" \
-            "wal group_commit_speedup >= 5" \
-            "repl converged + follower_read_ratio >= 0.5" \
-            "rpc rpc_speedup_16 >= 10" \
-            "protect protect_dedup_ratio >= 0.9 + protect_fairness_ratio >= 0.5" \
-            "readpath read_speedup_8r >= 4 + writer_ratio >= 0.8" \
-            "cluster cluster_speedup_2 >= 1.6" \
-            "obs obs_rpc_ratio >= 0.95 + obs_read_ratio >= 0.95"; do
-            echo "SKIPPED (CI_SKIP_BENCH=1): ${floor}"
-        done
-        return 0
-    fi
-    echo "--> bench floor: query engine window speedup"
-    cargo run --release -p cep_bench --bin bench_query
-    require_floor BENCH_query.json window_speedup 10.0 \
-        "100k-row 1% window speedup"
-    echo "--> bench floor: automaton fan-out"
-    sh scripts/bench_fanout.sh
-    echo "--> bench floor: WAL group commit"
-    sh scripts/bench_wal.sh
-    echo "--> bench floor: replication lag + follower reads"
-    sh scripts/bench_repl.sh
-    echo "--> bench floor: RPC reactor pipelining"
-    sh scripts/bench_rpc.sh
-    echo "--> bench floor: protection layer (dedup overhead + flood fairness)"
-    sh scripts/bench_protect.sh
-    echo "--> bench floor: lock-free read path (snapshot vs mutex selects)"
-    sh scripts/bench_readpath.sh
-    echo "--> bench floor: cluster sharding write scale-out"
-    sh scripts/bench_cluster.sh
-    echo "--> bench floor: observability overhead"
-    sh scripts/bench_obs.sh
+    ran=""
+    while read -r bin json key floor desc; do
+        [ -n "${bin}" ] || continue
+        if [ "${CI_SKIP_BENCH:-0}" = "1" ]; then
+            # Every floor that would have run is named: a skipped gate
+            # must read as "N floors NOT checked", never as a quiet pass.
+            echo "SKIPPED (CI_SKIP_BENCH=1): ${bin} ${json} ${key} >= ${floor} (${desc})"
+            continue
+        fi
+        if [ "${bin}" != "${ran}" ]; then
+            echo "--> bench: ${bin}"
+            cargo run --release -p cep_bench --bin "${bin}" </dev/null
+            ran=${bin}
+        fi
+        # check_floor parses the snapshot with a real number scanner and
+        # fails hard when the key is absent, unparsable, or below the
+        # floor.
+        cargo run --release -q -p cep_bench --bin check_floor -- \
+            "${json}" "${key}" "${floor}" "${desc}" </dev/null
+    done <<EOF
+${FLOORS}
+EOF
+}
+
+stage_psbench() {
+    sh benchmark/smoke.sh
 }
 
 stage_cluster() {
@@ -152,7 +145,7 @@ stage_cluster() {
 # Driver.
 # ---------------------------------------------------------------------
 if [ $# -eq 0 ]; then
-    set -- fmt clippy build test docs cluster bench
+    set -- fmt clippy build test docs cluster psbench bench
 fi
 
 for stage in "$@"; do
@@ -163,9 +156,10 @@ for stage in "$@"; do
         test)    run_stage test    stage_test ;;
         docs)    run_stage docs    stage_docs ;;
         cluster) run_stage cluster stage_cluster ;;
+        psbench) run_stage psbench stage_psbench ;;
         bench)   run_stage bench   stage_bench ;;
         *)
-            echo "unknown stage '${stage}' (known: fmt clippy build test docs cluster bench)" >&2
+            echo "unknown stage '${stage}' (known: fmt clippy build test docs cluster psbench bench)" >&2
             exit 2
             ;;
     esac

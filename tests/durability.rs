@@ -11,14 +11,18 @@
 //! automata (replay never re-fires a behavior).
 
 use std::fs;
-use std::path::PathBuf;
+use std::io::BufReader;
+use std::net::{TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use gapl::event::Scalar;
-use pscache::wal::{count_complete_records, log_path};
-use pscache::{Cache, CacheBuilder, Query, SyncPolicy};
+use pscache::repl::proto::{self, FollowerMsg, PrimaryMsg};
+use pscache::wal::{count_complete_records, log_path, split_frames};
+use pscache::{Cache, CacheBuilder, IdemToken, Query, SyncPolicy};
 
 /// A fresh, empty scratch directory under the system temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -26,6 +30,16 @@ fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pscache-durability-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// The file names inside `dir`, sorted.
+fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// `select * from {table}` as `(values, tstamp)` pairs in scan order.
@@ -87,9 +101,11 @@ fn snapshot_only_recovery_replays_zero_records() {
                 .unwrap();
         }
         cache.checkpoint().unwrap();
+        // One snapshot, one (now empty) log: the whole on-disk layout.
+        assert_eq!(files_in(&dir), ["snapshot.snap", "wal-000.log"]);
     }
     let cache = Cache::recover(&dir).unwrap();
-    // Everything came from the snapshot; the logs were truncated.
+    // Everything came from the snapshot; the log was truncated.
     assert_eq!(cache.wal_stats().unwrap().replayed, 0);
     assert_eq!(cache.table_len("KV").unwrap(), 3);
     assert_eq!(
@@ -138,11 +154,7 @@ fn a_torn_tail_record_is_detected_and_dropped() {
     let dir = scratch("torn-tail");
     let pre;
     {
-        let cache = CacheBuilder::new()
-            .shard_count(1)
-            .durability(&dir)
-            .open()
-            .unwrap();
+        let cache = CacheBuilder::new().durability(&dir).open().unwrap();
         cache
             .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
             .unwrap();
@@ -154,17 +166,13 @@ fn a_torn_tail_record_is_detected_and_dropped() {
         }
         pre = dump(&cache, "KV");
     }
-    // Tear the final record: chop a few bytes off the single shard log.
-    let log = log_path(&dir, 0);
+    // Tear the final record: chop a few bytes off the log.
+    let log = log_path(&dir);
     let bytes = fs::read(&log).unwrap();
     assert_eq!(count_complete_records(&bytes), 3);
     fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
 
-    let cache = CacheBuilder::new()
-        .shard_count(1)
-        .durability(&dir)
-        .open()
-        .unwrap();
+    let cache = CacheBuilder::new().durability(&dir).open().unwrap();
     assert_eq!(cache.wal_stats().unwrap().replayed, 2);
     assert_eq!(dump(&cache, "KV"), pre[..2].to_vec());
     // The recovered log accepts new appends after the torn tail.
@@ -173,11 +181,7 @@ fn a_torn_tail_record_is_detected_and_dropped() {
         .unwrap();
     drop(cache);
 
-    let cache = CacheBuilder::new()
-        .shard_count(1)
-        .durability(&dir)
-        .open()
-        .unwrap();
+    let cache = CacheBuilder::new().durability(&dir).open().unwrap();
     assert_eq!(cache.table_len("KV").unwrap(), 3);
     drop(cache);
     let _ = fs::remove_dir_all(&dir);
@@ -393,11 +397,7 @@ fn a_zero_filled_tail_is_treated_as_torn_not_as_a_record() {
     let dir = scratch("zero-tail");
     let pre;
     {
-        let cache = CacheBuilder::new()
-            .shard_count(1)
-            .durability(&dir)
-            .open()
-            .unwrap();
+        let cache = CacheBuilder::new().durability(&dir).open().unwrap();
         cache
             .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
             .unwrap();
@@ -408,13 +408,12 @@ fn a_zero_filled_tail_is_treated_as_torn_not_as_a_record() {
         }
         pre = dump(&cache, "KV");
     }
-    let log = log_path(&dir, 0);
+    let log = log_path(&dir);
     let mut bytes = fs::read(&log).unwrap();
     bytes.extend_from_slice(&[0u8; 512]);
     fs::write(&log, &bytes).unwrap();
 
     let cache = CacheBuilder::new()
-        .shard_count(1)
         .durability(&dir)
         .open()
         .expect("a zero-filled tail must not make the log unrecoverable");
@@ -438,11 +437,7 @@ fn an_interrupted_checkpoint_is_completed_without_losing_the_rotated_log() {
     // checkpoint must never clobber them.
     let dir = scratch("interrupted-checkpoint");
     {
-        let cache = CacheBuilder::new()
-            .shard_count(1)
-            .durability(&dir)
-            .open()
-            .unwrap();
+        let cache = CacheBuilder::new().durability(&dir).open().unwrap();
         cache
             .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
             .unwrap();
@@ -452,15 +447,11 @@ fn an_interrupted_checkpoint_is_completed_without_losing_the_rotated_log() {
                 .unwrap();
         }
     }
-    let live = log_path(&dir, 0);
+    let live = log_path(&dir);
     let rotated = dir.join("wal-000.log.1");
     fs::rename(&live, &rotated).unwrap();
 
-    let cache = CacheBuilder::new()
-        .shard_count(1)
-        .durability(&dir)
-        .open()
-        .unwrap();
+    let cache = CacheBuilder::new().durability(&dir).open().unwrap();
     assert_eq!(cache.table_len("KV").unwrap(), 2);
     drop(cache);
     // The completing checkpoint moved everything into the snapshot and
@@ -485,11 +476,7 @@ fn records_duplicated_across_rotated_and_live_logs_replay_once() {
     // duplicate-key error and an unrecoverable log.
     let dir = scratch("dup-records");
     {
-        let cache = CacheBuilder::new()
-            .shard_count(1)
-            .durability(&dir)
-            .open()
-            .unwrap();
+        let cache = CacheBuilder::new().durability(&dir).open().unwrap();
         cache
             .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
             .unwrap();
@@ -499,11 +486,10 @@ fn records_duplicated_across_rotated_and_live_logs_replay_once() {
                 .unwrap();
         }
     }
-    let live = log_path(&dir, 0);
+    let live = log_path(&dir);
     fs::copy(&live, dir.join("wal-000.log.1")).unwrap();
 
     let cache = CacheBuilder::new()
-        .shard_count(1)
         .durability(&dir)
         .open()
         .expect("duplicated records must not fail replay");
@@ -517,54 +503,261 @@ fn records_duplicated_across_rotated_and_live_logs_replay_once() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn shrinking_the_shard_count_absorbs_and_reclaims_orphan_logs() {
-    // Records written under a larger shard_count land in log files whose
-    // index the smaller configuration will never append to. They must be
-    // replayed, folded into the completing checkpoint's snapshot, and
-    // their files reclaimed — not re-scanned forever.
-    let dir = scratch("shrink-shards");
-    {
-        let cache = CacheBuilder::new()
-            .shard_count(8)
-            .durability(&dir)
-            .open()
-            .unwrap();
+/// Rewrite `dir`'s log the way an older build, which striped the log
+/// over many files, could have left it: the complete frames of the real
+/// log dealt round-robin over a live `wal-000.log`, a second stripe
+/// `wal-007.log` and a rotated leftover `wal-011.log.1`. The frame with
+/// LSN `lose`, if any, is dropped — the hole a crash between two
+/// stripes' fsyncs leaves below records that did reach the disk.
+fn scatter_over_legacy_stripes(dir: &Path, lose: Option<u64>) {
+    let bytes = fs::read(log_path(dir)).unwrap();
+    let mut stripes: [Vec<u8>; 3] = Default::default();
+    for (i, (lsn, frame)) in split_frames(&bytes).into_iter().enumerate() {
+        if Some(lsn) != lose {
+            stripes[i % 3].extend_from_slice(frame);
+        }
+    }
+    fs::write(log_path(dir), &stripes[0]).unwrap();
+    fs::write(dir.join("wal-007.log"), &stripes[1]).unwrap();
+    fs::write(dir.join("wal-011.log.1"), &stripes[2]).unwrap();
+}
+
+/// A durable history over two tables whose LSNs are known: 1 = Timer
+/// create, 2 = KV create, 3 = B create, 4..=6 = KV rows, 7..=9 = B rows.
+fn write_two_table_history(dir: &Path) {
+    let cache = Cache::recover(dir).unwrap();
+    for table in ["KV", "B"] {
         cache
-            .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+            .execute(&format!(
+                "create persistenttable {table} (k varchar(8) primary key, v integer)"
+            ))
             .unwrap();
-        for i in 0..12i64 {
+    }
+    for table in ["KV", "B"] {
+        for i in 0..3i64 {
             cache
-                .upsert(
-                    "KV",
+                .insert(
+                    table,
                     vec![Scalar::Str(format!("k{i}").into()), Scalar::Int(i)],
                 )
                 .unwrap();
         }
     }
-    let cache = CacheBuilder::new()
-        .shard_count(1)
-        .durability(&dir)
-        .open()
+    assert_eq!(count_complete_records(&fs::read(log_path(dir)).unwrap()), 9);
+}
+
+#[test]
+fn a_multi_file_directory_from_an_older_build_recovers_and_collapses_to_one_log() {
+    let dir = scratch("legacy-stripes");
+    write_two_table_history(&dir);
+    scatter_over_legacy_stripes(&dir, None);
+
+    // Every acknowledged row comes back, merged across the files by LSN.
+    let cache = Cache::recover(&dir).unwrap();
+    assert_eq!(cache.wal_stats().unwrap().replayed, 9);
+    let (kv, b) = (dump(&cache, "KV"), dump(&cache, "B"));
+    assert_eq!((kv.len(), b.len()), (3, 3));
+    // Opening checkpointed promptly: the records now live in the
+    // snapshot and the extra files are gone for good.
+    assert_eq!(files_in(&dir), ["snapshot.snap", "wal-000.log"]);
+    cache
+        .insert("KV", vec![Scalar::Str("post".into()), Scalar::Int(9)])
         .unwrap();
-    assert_eq!(cache.table_len("KV").unwrap(), 12);
     drop(cache);
-    // The completing checkpoint snapshotted everything; no wal file for
-    // a shard index >= 1 may survive it.
-    for shard in 1..8 {
-        assert!(
-            !log_path(&dir, shard).exists(),
-            "orphan wal-{shard:03}.log must be reclaimed"
-        );
-    }
-    let cache = CacheBuilder::new()
-        .shard_count(1)
-        .durability(&dir)
-        .open()
-        .unwrap();
-    assert_eq!(cache.table_len("KV").unwrap(), 12);
+
+    let cache = Cache::recover(&dir).unwrap();
+    assert_eq!(cache.wal_stats().unwrap().replayed, 1);
+    assert_eq!(dump(&cache, "KV")[..3], kv[..]);
+    assert_eq!(cache.table_len("KV").unwrap(), 4);
+    assert_eq!(dump(&cache, "B"), b);
     drop(cache);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_follower_resumes_a_holed_legacy_directory_from_the_contiguous_point() {
+    let dir = scratch("legacy-hole");
+    write_two_table_history(&dir);
+    // KV's last row (LSN 6) never reached its stripe's file, while B's
+    // rows (LSNs 7..=9) reached theirs.
+    scatter_over_legacy_stripes(&dir, Some(6));
+
+    // Stand in for the primary: accept the subscription and read the
+    // LSN the follower claims to be complete up to.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let follower = CacheBuilder::new()
+        .durability(&dir)
+        .follow(listener.local_addr().unwrap().to_string())
+        .open()
+        .unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    let mut reader = BufReader::new(stream);
+    proto::read_magic(&mut reader).unwrap();
+    let subscribe = FollowerMsg::read(&mut reader).unwrap();
+    // Everything that survived is served, but the stream resumes below
+    // the hole, so the primary re-ships it (and what follows).
+    assert_eq!(subscribe, Some(FollowerMsg::Subscribe { from_lsn: 5 }));
+    assert_eq!(follower.replica_lsn(), 5);
+    assert_eq!(follower.table_len("KV").unwrap(), 2);
+    assert_eq!(follower.table_len("B").unwrap(), 3);
+    assert_eq!(files_in(&dir), ["snapshot.snap", "wal-000.log"]);
+    follower.shutdown();
+    drop(follower);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpointing_a_clean_log_issues_no_fsync() {
+    for (name, policy, dirty_syncs) in [
+        // The insert's own group commit already fsynced its record.
+        ("group", SyncPolicy::Group, 0),
+        // The record was handed to the OS but never fsynced: the first
+        // checkpoint must do it.
+        ("osonly", SyncPolicy::OsOnly, 1),
+    ] {
+        let dir = scratch(&format!("idle-checkpoint-{name}"));
+        let cache = CacheBuilder::new()
+            .durability(&dir)
+            .sync_policy(policy)
+            .open()
+            .unwrap();
+        cache
+            .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+            .unwrap();
+        cache
+            .insert("KV", vec![Scalar::Str("a".into()), Scalar::Int(1)])
+            .unwrap();
+        let syncs = || cache.wal_stats().unwrap().syncs;
+        let before = syncs();
+        cache.checkpoint().unwrap();
+        assert_eq!(syncs() - before, dirty_syncs, "policy {name}, first");
+        cache.checkpoint().unwrap();
+        assert_eq!(syncs() - before, dirty_syncs, "policy {name}, idle");
+        assert_eq!(cache.wal_stats().unwrap().checkpoints, 2);
+        drop(cache);
+        assert_eq!(Cache::recover(&dir).unwrap().table_len("KV").unwrap(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One log, one sequence: file order = LSN order, under concurrency.
+// ---------------------------------------------------------------------------
+
+const WRITERS: usize = 4;
+const SHARED_TABLES: usize = 4;
+const ROWS_PER_WRITER: i64 = 40;
+
+/// Drive `cache` with [`WRITERS`] threads that spread inserts over
+/// [`SHARED_TABLES`] persistent tables and each create one more table
+/// under an idempotency token (a create + token record pair) mid-run.
+fn run_concurrent_writers(cache: &Cache) {
+    for t in 0..SHARED_TABLES {
+        cache
+            .execute(&format!(
+                "create persistenttable T{t} (k varchar(16) primary key, v integer)"
+            ))
+            .unwrap();
+    }
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            scope.spawn(move || {
+                for i in 0..ROWS_PER_WRITER {
+                    if i == ROWS_PER_WRITER / 2 {
+                        let token = IdemToken {
+                            client_id: w as u64 + 1,
+                            seq: 0,
+                        };
+                        cache
+                            .execute_with_token(
+                                &format!(
+                                    "create persistenttable Own{w} (k varchar(8) primary key, v integer)"
+                                ),
+                                Some(token),
+                            )
+                            .unwrap();
+                    }
+                    cache
+                        .insert(
+                            &format!("T{}", (w + i as usize) % SHARED_TABLES),
+                            vec![Scalar::Str(format!("w{w}-{i}").into()), Scalar::Int(i)],
+                        )
+                        .unwrap();
+                }
+            });
+        }
+    });
+}
+
+/// Records [`run_concurrent_writers`] logs: the Timer and shared-table
+/// creates, every insert, and a create + token pair per writer.
+const CONCURRENT_RECORDS: u64 =
+    1 + SHARED_TABLES as u64 + WRITERS as u64 * (ROWS_PER_WRITER as u64 + 2);
+
+#[test]
+fn concurrent_writers_yield_one_lsn_ordered_log_and_contiguous_follower_batches() {
+    let dir = scratch("one-sequence");
+    let cache = CacheBuilder::new()
+        .durability(&dir)
+        .replicate_to("127.0.0.1:0")
+        .open()
+        .unwrap();
+
+    // A raw subscriber from LSN 0, attached before the writers start so
+    // it sees both bootstrap backlog and live group-commit batches.
+    let stream = TcpStream::connect(cache.repl_addr().unwrap()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    proto::write_magic(&mut &stream).unwrap();
+    FollowerMsg::Subscribe { from_lsn: 0 }
+        .write(&mut &stream)
+        .unwrap();
+    let subscriber = std::thread::spawn(move || {
+        let mut reader = BufReader::new(stream);
+        let mut applied = 0u64;
+        while applied < CONCURRENT_RECORDS {
+            match PrimaryMsg::read(&mut reader).unwrap().unwrap() {
+                PrimaryMsg::Frames(bytes) => {
+                    let frames = split_frames(&bytes);
+                    assert_eq!(frames.len(), count_complete_records(&bytes));
+                    for (lsn, _) in frames {
+                        assert_eq!(lsn, applied + 1, "batches tile the sequence");
+                        applied = lsn;
+                    }
+                }
+                PrimaryMsg::Heartbeat { commit_lsn } => assert!(commit_lsn <= CONCURRENT_RECORDS),
+                PrimaryMsg::Snapshot(_) => panic!("no checkpoint ran, so no snapshot exists"),
+            }
+        }
+    });
+
+    run_concurrent_writers(&cache);
+    assert_eq!(cache.commit_lsn(), CONCURRENT_RECORDS);
+    subscriber.join().unwrap();
+    cache.shutdown();
+    drop(cache);
+
+    // One file, and its frames carry 1, 2, 3, … in file order.
+    assert_eq!(files_in(&dir), ["wal-000.log"]);
+    let bytes = fs::read(log_path(&dir)).unwrap();
+    let lsns: Vec<u64> = split_frames(&bytes).iter().map(|(lsn, _)| *lsn).collect();
+    assert_eq!(lsns, (1..=CONCURRENT_RECORDS).collect::<Vec<_>>());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The log [`run_concurrent_writers`] leaves behind, produced once.
+fn concurrent_log() -> &'static [u8] {
+    static LOG: OnceLock<Vec<u8>> = OnceLock::new();
+    LOG.get_or_init(|| {
+        let dir = scratch("one-sequence-source");
+        let cache = Cache::recover(&dir).unwrap();
+        run_concurrent_writers(&cache);
+        drop(cache);
+        let bytes = fs::read(log_path(&dir)).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        bytes
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -615,7 +808,6 @@ proptest! {
         let mut model: [ModelTable; 2] = [Vec::new(), Vec::new()];
         {
             let cache = CacheBuilder::new()
-                .shard_count(1)
                 .manual_clock()
                 .durability(&dir)
                 .open()
@@ -675,8 +867,8 @@ proptest! {
             }
         }
 
-        // Crash: truncate the single shard log at an arbitrary offset.
-        let log = log_path(&dir, 0);
+        // Crash: truncate the log at an arbitrary offset.
+        let log = log_path(&dir);
         let bytes = fs::read(&log).unwrap();
         prop_assert_eq!(count_complete_records(&bytes), states.len() - 1);
         let cut = (bytes.len() * cut_permille as usize) / 1000;
@@ -684,7 +876,6 @@ proptest! {
         fs::write(&log, &bytes[..cut]).unwrap();
 
         let cache = CacheBuilder::new()
-            .shard_count(1)
             .durability(&dir)
             .open()
             .unwrap();
@@ -716,7 +907,6 @@ proptest! {
         let mut model: [ModelTable; 2] = [Vec::new(), Vec::new()];
         {
             let cache = CacheBuilder::new()
-                .shard_count(1)
                 .manual_clock()
                 .durability(&dir)
                 .open()
@@ -772,7 +962,7 @@ proptest! {
             }
         }
 
-        let log = log_path(&dir, 0);
+        let log = log_path(&dir);
         let mut bytes = fs::read(&log).unwrap();
         // At least one op ran against an empty model, and every first op
         // logs (inserts cannot collide with nothing), so the log has at
@@ -786,7 +976,6 @@ proptest! {
         fs::write(&log, &bytes).unwrap();
 
         let cache = CacheBuilder::new()
-            .shard_count(1)
             .durability(&dir)
             .open()
             .unwrap();
@@ -800,6 +989,39 @@ proptest! {
             );
         }
         drop(cache);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Kill the process at an arbitrary byte of a log written by
+    /// concurrent writers over many tables: what recovers is a prefix
+    /// of the sequence with no hole in it — the contiguous point a
+    /// replica would resume from *is* the recovered tail.
+    #[test]
+    fn a_crash_at_any_byte_of_a_concurrent_log_leaves_no_hole(cut_permille in 0u32..=1000) {
+        let bytes = concurrent_log();
+        let cut = (bytes.len() * cut_permille as usize) / 1000;
+        let survivors = split_frames(&bytes[..cut]).len() as u64;
+        let dir = scratch("proptest-no-hole");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(log_path(&dir), &bytes[..cut]).unwrap();
+
+        // A replica resumes from the contiguous recovered LSN (its
+        // primary is down; the watermark is what it would subscribe
+        // from) …
+        let replica = CacheBuilder::new()
+            .durability(&dir)
+            .follow("127.0.0.1:1")
+            .open()
+            .unwrap();
+        prop_assert_eq!(replica.replica_lsn(), survivors);
+        replica.shutdown();
+        drop(replica);
+        // … and a primary mints right above the highest one: its first
+        // record is the Timer create every primary logs at open.
+        let primary = Cache::recover(&dir).unwrap();
+        prop_assert_eq!(primary.wal_stats().unwrap().replayed, survivors);
+        prop_assert_eq!(primary.commit_lsn(), survivors + 1);
+        drop(primary);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -79,7 +79,6 @@ fn observed_prefix(cache: &Cache, table: &str) -> u64 {
 fn no_reader_observes_a_row_that_recovery_loses() {
     let dir = scratch("flush-before-visible");
     let cache = CacheBuilder::new()
-        .shard_count(1)
         .durability(&dir)
         .sync_policy(SyncPolicy::Group)
         .checkpoint_every(1_000_000) // only the chaos loop checkpoints
@@ -153,11 +152,7 @@ fn no_reader_observes_a_row_that_recovery_loses() {
     cache.shutdown();
 
     for (seen, crash_dir) in crashes {
-        let recovered = CacheBuilder::new()
-            .shard_count(1)
-            .durability(&crash_dir)
-            .open()
-            .unwrap();
+        let recovered = CacheBuilder::new().durability(&crash_dir).open().unwrap();
         let len = recovered.table_len("KV").unwrap() as u64;
         assert!(
             len >= seen,

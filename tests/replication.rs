@@ -461,7 +461,6 @@ fn a_diverged_follower_is_reset_from_the_primarys_snapshot() {
     let addr_str;
     {
         let primary = CacheBuilder::new()
-            .shard_count(1)
             .durability(&dir_p)
             .replicate_to("127.0.0.1:0")
             .open()
@@ -490,7 +489,7 @@ fn a_diverged_follower_is_reset_from_the_primarys_snapshot() {
 
     // Crash-simulate the primary: chop the last few records off its
     // log, so its recovered history is shorter than the follower's.
-    let log = log_path(&dir_p, 0);
+    let log = log_path(&dir_p);
     let bytes = fs::read(&log).unwrap();
     let keep = {
         // Find the byte length of the first (n-2) records.
@@ -505,7 +504,6 @@ fn a_diverged_follower_is_reset_from_the_primarys_snapshot() {
     fs::write(&log, &bytes[..keep]).unwrap();
 
     let primary = CacheBuilder::new()
-        .shard_count(1)
         .durability(&dir_p)
         .replicate_to("127.0.0.1:0")
         .open()
