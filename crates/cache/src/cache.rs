@@ -24,7 +24,9 @@ use crate::repl::follower::FollowerHandle;
 use crate::repl::hub::ReplHub;
 use crate::repl::server::ReplListener;
 use crate::repl::{ReplRole, ReplStats};
-use crate::runtime::{AutomatonId, AutomatonStats, Executor, Notification, RegisterCmd, WorkerMsg};
+use crate::runtime::{
+    AutomatonId, AutomatonStats, Executor, Notification, NotificationSink, RegisterCmd, WorkerMsg,
+};
 use crate::sql::{self, Command};
 use crate::table::{Table, TableKind, TableStore, DEFAULT_STREAM_CAPACITY};
 use crate::wal::{self, Recovery, ReplayOp, SnapshotTable, SyncPolicy, Wal, WalStats};
@@ -1377,8 +1379,9 @@ impl Cache {
     }
 
     /// Register an automaton from GAPL source. On success the automaton is
-    /// compiled, bound to a fresh thread, and subscribed to its topics; the
-    /// returned receiver yields the notifications produced by `send()`.
+    /// compiled, pinned to one worker of the automaton pool, and subscribed
+    /// to its topics; the returned receiver yields the notifications
+    /// produced by `send()`.
     ///
     /// # Errors
     ///
@@ -1395,8 +1398,9 @@ impl Cache {
         Ok((id, rx))
     }
 
-    /// Register an automaton, routing its notifications to a caller-provided
-    /// channel (used by the RPC server).
+    /// Register an automaton, delivering its notifications to a
+    /// caller-provided [`NotificationSink`] (a channel sender, or an RPC
+    /// connection's outbox) from the pool worker that ran `send()`.
     ///
     /// # Errors
     ///
@@ -1404,7 +1408,7 @@ impl Cache {
     pub fn register_automaton_with_notifier(
         &self,
         source: &str,
-        notifier: Sender<Notification>,
+        notifier: impl NotificationSink + Send + 'static,
     ) -> Result<AutomatonId> {
         let program = Arc::new(gapl::compile(source).map_err(|e| Error::AutomatonCompile {
             message: e.to_string(),
@@ -1452,7 +1456,7 @@ impl Cache {
             id,
             program: Arc::clone(&program),
             cache: Arc::downgrade(&self.inner),
-            notifier,
+            notifier: Box::new(notifier),
             stats: Arc::clone(&stats),
             print_to_stdout: self.inner.print_to_stdout,
         })));

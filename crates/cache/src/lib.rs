@@ -79,6 +79,6 @@ pub use plan::{ColRef, QueryPlan};
 pub use protect::{ClientPolicy, IdemToken, TokenOutcome};
 pub use query::{Aggregate, Comparison, Predicate, Query, ResultSet, Row};
 pub use repl::{ReplRole, ReplStats};
-pub use runtime::{AutomatonId, Notification};
+pub use runtime::{AutomatonId, Notification, NotificationSink};
 pub use table::TableKind;
 pub use wal::{SyncPolicy, WalStats};

@@ -81,6 +81,40 @@ pub struct Notification {
     pub at: Timestamp,
 }
 
+/// Where an automaton's notifications go: handed over at registration
+/// and owned by the automaton from its first instruction to the moment
+/// the owning pool worker drops it in [`Cache::unregister_automaton`]'s
+/// acknowledged drain — so every notification an automaton ever produced
+/// has been delivered by the time its unregistration returns, and none
+/// can follow.
+///
+/// `deliver` runs on the pool worker that executed `send()`, which
+/// fixes what an implementation may do:
+///
+/// * it **never blocks** — a buffer append or an unbounded channel send
+///   only; a pool worker must never wait on a client socket;
+/// * automata pinned to different workers may share one destination, so
+///   sinks for one destination run **concurrently**: whatever a sink
+///   writes for one notification must land atomically with respect to
+///   its siblings (one lock acquisition), and a capacity policy decided
+///   on the destination must be decided under that same acquisition and
+///   take effect once;
+/// * one automaton's notifications are delivered in its worker's program
+///   order; order across automata is unspecified.
+///
+/// [`Cache::unregister_automaton`]: crate::Cache::unregister_automaton
+pub trait NotificationSink {
+    /// Deliver one notification; `false` means the destination is gone
+    /// (the automaton keeps running — see `HostInterface::send`).
+    fn deliver(&self, note: Notification) -> bool;
+}
+
+impl NotificationSink for Sender<Notification> {
+    fn deliver(&self, note: Notification) -> bool {
+        self.send(note).is_ok()
+    }
+}
+
 /// Everything a worker needs to bring an automaton to life on its own
 /// thread. The [`Vm`] is constructed worker-side because its values are
 /// not `Send`.
@@ -88,7 +122,7 @@ pub(crate) struct RegisterCmd {
     pub id: AutomatonId,
     pub program: Arc<Program>,
     pub cache: Weak<CacheInner>,
-    pub notifier: Sender<Notification>,
+    pub notifier: Box<dyn NotificationSink + Send>,
     pub stats: Arc<AutomatonStats>,
     pub print_to_stdout: bool,
 }
@@ -296,7 +330,7 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
 pub(crate) struct CacheHost {
     pub cache: Weak<CacheInner>,
     pub automaton: AutomatonId,
-    pub notifier: Sender<Notification>,
+    pub notifier: Box<dyn NotificationSink + Send>,
     pub stats: Arc<AutomatonStats>,
     pub print_to_stdout: bool,
 }
@@ -326,8 +360,8 @@ impl HostInterface for CacheHost {
         let at = self.now();
         // A vanished application is not an automaton error: the paper's
         // cache keeps automata running even when the registering process is
-        // slow or gone, so a closed channel is silently tolerated.
-        let _ = self.notifier.send(Notification {
+        // slow or gone, so a refused delivery is silently tolerated.
+        let _ = self.notifier.deliver(Notification {
             automaton: self.automaton,
             values,
             at,

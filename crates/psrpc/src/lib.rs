@@ -18,8 +18,9 @@
 //!   application processes, as in the paper) and an in-process loopback
 //!   (deterministic benchmarks),
 //! * a multi-client [`server::RpcServer`] that exposes a
-//!   [`pscache::Cache`] — one worker thread per connection plus a shared
-//!   notification fan-out,
+//!   [`pscache::Cache`] — a worker and a writer thread per connection;
+//!   an automaton's notifications go from the pool worker that ran
+//!   `send()` straight to its connection's writer,
 //! * an event-driven [`reactor::ReactorServer`] serving the same wire
 //!   protocol from one [`poll`]-based reactor thread plus a small worker
 //!   pool — thousands of connections, bounded threads — with the

@@ -150,7 +150,8 @@ pub struct ServerStats {
     pub connections_active: u64,
     /// Requests decoded and executed, across all connections.
     pub requests_served: u64,
-    /// Automaton notifications routed to clients by the fan-out hub.
+    /// Automaton notifications accepted into the outbound queue of the
+    /// connection that registered the automaton.
     pub notifications_routed: u64,
     /// Automata currently registered in the cache.
     pub automata_active: u64,

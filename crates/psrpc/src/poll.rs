@@ -13,8 +13,8 @@
 //!
 //! [`Waker`] is the reactor's cross-thread doorbell: a nonblocking
 //! socketpair whose read end sits in the poll set, so worker threads
-//! (and the notification hub) can interrupt a blocked `poll` by writing
-//! one byte. Every wake writes — unconditionally. An earlier version
+//! (and automaton-pool workers delivering notifications) can interrupt
+//! a blocked `poll` by writing one byte. Every wake writes — unconditionally. An earlier version
 //! coalesced wakes through an atomic flag; a wake landing inside
 //! [`Waker::drain`] could then have its byte consumed while the flag
 //! stayed armed, leaving an empty pipe that silently swallowed every

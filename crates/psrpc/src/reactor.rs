@@ -44,15 +44,15 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken};
+use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink};
 
 use crate::error::{Error, Result};
 use crate::framing::{fragment, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
 use crate::message::{CacheReply, ClientMessage, Request, ServerMessage, ServerStats};
 use crate::poll::{self, PollFd, Waker, POLL_IN, POLL_OUT};
 use crate::server::{
-    handle_request, health_report, teardown_registered, HubMsg, NotificationHub, RequestCtx,
-    RouteSink, StatsInner,
+    handle_request, health_report, notification_message, teardown_registered, RequestCtx,
+    StatsInner,
 };
 
 /// Requests one worker executes for a connection before re-queuing it,
@@ -118,7 +118,7 @@ struct ExecState {
 }
 
 /// The parts of a connection shared between the reactor thread, the
-/// worker pool, and the notification hub's route.
+/// worker pool, and the sinks of the automata it registered.
 struct ConnShared {
     exec: Mutex<ExecState>,
     /// Outbound wire bytes (already fragmented); only the reactor
@@ -129,10 +129,10 @@ struct ConnShared {
     registered: Mutex<HashSet<AutomatonId>>,
     /// The reactor's doorbell, rung whenever `out` gains bytes.
     waker: Arc<Waker>,
-    /// Server counters, reachable from the hub's delivery path (which
-    /// holds only this struct) so slow-consumer eviction can account.
+    /// Server counters, reachable from the notification delivery path
+    /// (which holds only this struct) so it can account.
     stats: Arc<StatsInner>,
-    /// Outbox bytes beyond which the hub evicts this connection as a
+    /// Outbox bytes beyond which a delivery evicts this connection as a
     /// slow consumer ([`pscache::ClientPolicy::max_outbox_bytes`]; 0
     /// disables eviction).
     max_outbox_bytes: usize,
@@ -166,47 +166,53 @@ struct PendingOp {
     appended: Instant,
 }
 
-/// Append one logical message to an outbox, atomically with respect to
-/// other messages (fragments of two messages must never interleave).
-fn append_message(out: &Mutex<Vec<u8>>, message: &[u8]) {
+/// Append one logical message to an outbox under one lock acquisition —
+/// workers, the reactor thread and automaton-pool workers all append
+/// concurrently, and fragments of two messages must never interleave —
+/// and return the outbox length that acquisition observed.
+fn append_message(out: &Mutex<Vec<u8>>, message: &[u8]) -> usize {
     let mut out = out.lock();
     for frag in fragment(message) {
         out.extend_from_slice(&frag);
     }
+    out.len()
 }
 
-/// The hub's route to a reactor connection: append to the outbox, ring
-/// the doorbell.
+/// A reactor connection's [`NotificationSink`], built before the
+/// automaton is registered and owned by it until the unregistration
+/// drain: the automaton-pool worker that ran `send()` encodes the
+/// notification, appends it to the outbox and rings the doorbell. It
+/// never touches the socket, so it never blocks on the client.
 struct ReactorRoute {
     shared: Arc<ConnShared>,
 }
 
-impl RouteSink for ReactorRoute {
-    fn deliver(&self, msg: ServerMessage) -> bool {
-        if self.shared.exec.lock().defunct {
+impl NotificationSink for ReactorRoute {
+    fn deliver(&self, note: pscache::Notification) -> bool {
+        let shared = &*self.shared;
+        if shared.exec.lock().defunct {
             return false;
         }
-        append_message(&self.shared.out, &msg.encode());
+        let outbox_len = append_message(&shared.out, &notification_message(note).encode());
         // Slow-consumer eviction: a client that subscribes to a firehose
         // and stops draining its socket would otherwise buffer unbounded
         // notification bytes server-side. Past the policy cap the
         // connection is defunct — its automata are unregistered by the
-        // teardown worker, exactly as if it had disconnected.
-        if self.shared.max_outbox_bytes > 0
-            && self.shared.out.lock().len() > self.shared.max_outbox_bytes
-        {
-            if self.shared.obs.enabled() {
-                self.shared
-                    .obs
-                    .slow_consumer_evictions
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            mark_defunct(&self.shared, &self.shared.stats);
-            self.shared.waker.wake();
-            return false;
+        // teardown worker, exactly as if it had disconnected. Sinks of
+        // one connection run concurrently on different pool workers, so
+        // the cap is judged on the length the append itself observed and
+        // the eviction belongs to whichever delivery flips `defunct`.
+        let accepted = shared.max_outbox_bytes == 0 || outbox_len <= shared.max_outbox_bytes;
+        if accepted {
+            shared.stats.notifications.fetch_add(1, Ordering::Release);
+        } else if mark_defunct(shared, &shared.stats) && shared.obs.enabled() {
+            shared
+                .obs
+                .slow_consumer_evictions
+                .fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.waker.wake();
-        true
+        shared.waker.wake();
+        accepted
     }
 }
 
@@ -351,7 +357,6 @@ pub struct ReactorServer {
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     job_tx: Sender<Job>,
-    hub: Option<NotificationHub>,
 }
 
 impl std::fmt::Debug for ReactorServer {
@@ -410,7 +415,6 @@ impl ReactorServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stats = Arc::new(StatsInner::default());
-        let hub = NotificationHub::start(Arc::clone(&stats));
         let waker = Arc::new(Waker::new()?);
         let shutting_down = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = unbounded::<Job>();
@@ -418,16 +422,12 @@ impl ReactorServer {
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let cache = cache.clone();
-                let note_tx = hub.note_tx.clone();
-                let control_tx = hub.control_tx.clone();
                 let stats = Arc::clone(&stats);
                 let job_rx = job_rx.clone();
                 let job_tx = job_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("psrpc-reactor-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(&cache, &note_tx, &control_tx, &stats, &job_rx, &job_tx)
-                    })
+                    .spawn(move || worker_loop(&cache, &stats, &job_rx, &job_tx))
                     .expect("spawning a reactor worker never fails")
             })
             .collect();
@@ -466,7 +466,6 @@ impl ReactorServer {
             reactor: Some(reactor),
             workers,
             job_tx,
-            hub: Some(hub),
         })
     }
 
@@ -505,35 +504,20 @@ impl ReactorServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(hub) = self.hub.take() {
-            hub.finish();
-        }
         let _ = self.cache.flush_wal();
     }
 }
 
 impl Drop for ReactorServer {
     fn drop(&mut self) {
-        if self.reactor.is_some() || self.hub.is_some() {
+        if self.reactor.is_some() {
             self.stop();
         }
     }
 }
 
-fn worker_loop(
-    cache: &Cache,
-    note_tx: &Sender<pscache::Notification>,
-    control_tx: &Sender<HubMsg>,
-    stats: &StatsInner,
-    job_rx: &Receiver<Job>,
-    job_tx: &Sender<Job>,
-) {
-    let ctx = RequestCtx {
-        cache,
-        note_tx,
-        control_tx,
-        stats,
-    };
+fn worker_loop(cache: &Cache, stats: &StatsInner, job_rx: &Receiver<Job>, job_tx: &Sender<Job>) {
+    let ctx = RequestCtx { cache, stats };
     while let Ok(job) = job_rx.recv() {
         match job {
             Job::Stop => break,
@@ -585,11 +569,8 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
                 }
             }
         };
-        let route_conn = Arc::clone(conn);
-        let route = move || {
-            Box::new(ReactorRoute {
-                shared: Arc::clone(&route_conn),
-            }) as Box<dyn RouteSink>
+        let sink = || ReactorRoute {
+            shared: Arc::clone(conn),
         };
         let token = msg
             .token
@@ -615,7 +596,7 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
         ctx.stats.worker_busy.fetch_add(1, Ordering::Release);
         let reply = {
             let mut registered = conn.registered.lock();
-            handle_request(ctx, &mut registered, &route, msg.request, token)
+            handle_request(ctx, &mut registered, sink, msg.request, token)
         };
         ctx.stats.worker_busy.fetch_sub(1, Ordering::Release);
         append_message(
@@ -648,12 +629,14 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
     let _ = job_tx.send(Job::Conn(Arc::clone(conn)));
 }
 
-/// The connection is unusable (write failure): discard undecided work
-/// and flag it for teardown. Idempotent.
-fn mark_defunct(shared: &ConnShared, stats: &StatsInner) {
+/// The connection is unusable (write failure, slow-consumer eviction):
+/// discard undecided work and flag it for teardown. Idempotent; returns
+/// whether this call made the transition, so a cause is counted once
+/// however many threads report it.
+fn mark_defunct(shared: &ConnShared, stats: &StatsInner) -> bool {
     let mut exec = shared.exec.lock();
     if exec.defunct {
-        return;
+        return false;
     }
     exec.defunct = true;
     let dropped = exec.inbox.len() as u64;
@@ -665,6 +648,7 @@ fn mark_defunct(shared: &ConnShared, stats: &StatsInner) {
     // Spans whose flush will never happen are dropped, not recorded
     // with a fabricated flush time.
     shared.pending_ops.lock().clear();
+    true
 }
 
 fn accept_all(
@@ -929,8 +913,8 @@ fn reactor_loop(
             drop(exec);
             if quiesced && conn.shared.out.lock().is_empty() {
                 let mut exec = conn.shared.exec.lock();
-                // Re-check under the lock: a worker or the hub may have
-                // raced new state in.
+                // Re-check under the lock: a worker or a notification
+                // delivery may have raced new state in.
                 if !exec.executing && !exec.defunct && exec.inbox.is_empty() {
                     exec.defunct = true;
                     exec.executing = true;

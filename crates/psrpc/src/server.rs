@@ -12,15 +12,19 @@
 //!   cache (one lock per table), so clients inserting into different
 //!   tables run truly in parallel;
 //! * each connection also owns a **writer thread**, the single point that
-//!   serialises replies and asynchronous notifications onto the socket;
-//! * all automaton notifications, from every connection, pass through one
-//!   shared **notification fan-out** (the hub) that
-//!   routes them to the owning connection's writer — replacing the
-//!   per-connection forwarder thread of earlier designs, so the thread
-//!   count grows by two per connection rather than three;
-//! * when a client disconnects, its automata are unregistered and their
-//!   routes dropped, exactly as the paper's cache reclaims state for
-//!   vanished applications.
+//!   serialises replies and asynchronous notifications onto the socket —
+//!   two threads per connection and none shared between connections;
+//! * an automaton registered over a connection is handed that
+//!   connection's [`pscache::NotificationSink`] *at registration*: the
+//!   automaton-pool worker that runs `send()` puts the notification on
+//!   the writer's queue itself — one hop, no router thread and no route
+//!   table in between;
+//! * when a client disconnects, its automata are unregistered (and their
+//!   sinks dropped with them), exactly as the paper's cache reclaims
+//!   state for vanished applications. Unregistration is the cache's
+//!   acknowledged drain, so every notification an automaton produced is
+//!   on the writer's queue before its `Unregistered` reply and none can
+//!   follow it.
 //!
 //! [`serve_connection`] exposes the same machinery for a single duplex
 //! transport (TCP or in-process), which is how the stress benchmarks and
@@ -36,7 +40,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
-use pscache::{AutomatonId, Cache, IdemToken, Response, TokenOutcome};
+use pscache::{AutomatonId, Cache, IdemToken, NotificationSink, Response, TokenOutcome};
 
 use crate::error::Result;
 use crate::message::{CacheReply, ClientMessage, HealthReport, Request, ServerMessage, WireRow};
@@ -137,148 +141,9 @@ pub(crate) fn health_report(cache: &Cache, stats: &StatsInner) -> HealthReport {
     }
 }
 
-/// Where the hub delivers one automaton's notifications: the blocking
-/// transport routes to a connection's writer-thread channel, the
-/// reactor transport appends to a connection's outbound byte queue and
-/// rings the poller's doorbell. Either way the hub stays the single
-/// ordering point between an automaton and its owning connection.
-pub(crate) trait RouteSink: Send {
-    /// Deliver one message; `false` means the connection is gone.
-    fn deliver(&self, msg: ServerMessage) -> bool;
-}
-
-impl RouteSink for Sender<ServerMessage> {
-    fn deliver(&self, msg: ServerMessage) -> bool {
-        self.send(msg).is_ok()
-    }
-}
-
-/// Control messages for the fan-out hub, multiplexed with notifications.
-pub(crate) enum HubMsg {
-    /// An automaton produced a notification.
-    Note(pscache::Notification),
-    /// A connection registered an automaton; notifications for it (held
-    /// back while the registration raced ahead of the route) go to this
-    /// sink.
-    AddRoute(u64, Box<dyn RouteSink>),
-    /// The automaton is gone; drop its route and anything held back.
-    RemoveRoute(u64),
-}
-
-/// The shared notification fan-out.
-///
-/// Automata registered over RPC all send into one channel; a single
-/// dispatch thread routes each notification to the connection that owns
-/// the automaton. Registration and routing race benignly: a notification
-/// arriving before its `AddRoute` is parked and flushed, in order, when
-/// the route appears.
-pub(crate) struct NotificationHub {
-    /// Handed (cloned) to every automaton registration.
-    pub(crate) note_tx: Sender<pscache::Notification>,
-    /// Route management from connection workers.
-    pub(crate) control_tx: Sender<HubMsg>,
-    pump: Option<JoinHandle<()>>,
-    dispatch: Option<JoinHandle<()>>,
-}
-
-impl NotificationHub {
-    pub(crate) fn start(stats: Arc<StatsInner>) -> NotificationHub {
-        let (note_tx, note_rx) = unbounded::<pscache::Notification>();
-        let (hub_tx, hub_rx) = unbounded::<HubMsg>();
-
-        // Pump: adapts the plain notification channel the cache runtime
-        // expects onto the hub's control stream.
-        let pump_tx = hub_tx.clone();
-        let pump = std::thread::Builder::new()
-            .name("psrpc-hub-pump".into())
-            .spawn(move || {
-                while let Ok(note) = note_rx.recv() {
-                    if pump_tx.send(HubMsg::Note(note)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawning the hub pump thread never fails");
-
-        // Dispatch: owns the route table and the parked notifications.
-        let dispatch = std::thread::Builder::new()
-            .name("psrpc-hub-dispatch".into())
-            .spawn(move || {
-                let mut routes: HashMap<u64, Box<dyn RouteSink>> = HashMap::new();
-                let mut parked: HashMap<u64, Vec<pscache::Notification>> = HashMap::new();
-                // Ids whose route was removed. A RemoveRoute sent on the
-                // control channel can overtake that automaton's last
-                // notifications, which are still crossing the pump; without
-                // this set they would be re-parked under an id that never
-                // gets another AddRoute and leak for the server's lifetime.
-                // Automaton ids are never reused, so the set only grows by
-                // one u64 per unregistered automaton.
-                let mut dead: HashSet<u64> = HashSet::new();
-                while let Ok(msg) = hub_rx.recv() {
-                    match msg {
-                        HubMsg::Note(note) => {
-                            let id = note.automaton.0;
-                            match routes.get(&id) {
-                                Some(writer) => {
-                                    stats.notifications.fetch_add(1, Ordering::Release);
-                                    let _ = writer.deliver(notification_message(note));
-                                }
-                                None if dead.contains(&id) => {
-                                    // Straggler from an unregistered
-                                    // automaton: its client is gone.
-                                }
-                                None => {
-                                    let slot = parked.entry(id).or_default();
-                                    // Bound memory if a route never shows
-                                    // up (e.g. a client that died mid
-                                    // registration).
-                                    if slot.len() < 65_536 {
-                                        slot.push(note);
-                                    }
-                                }
-                            }
-                        }
-                        HubMsg::AddRoute(id, writer) => {
-                            for note in parked.remove(&id).unwrap_or_default() {
-                                stats.notifications.fetch_add(1, Ordering::Release);
-                                let _ = writer.deliver(notification_message(note));
-                            }
-                            routes.insert(id, writer);
-                        }
-                        HubMsg::RemoveRoute(id) => {
-                            routes.remove(&id);
-                            parked.remove(&id);
-                            dead.insert(id);
-                        }
-                    }
-                }
-            })
-            .expect("spawning the hub dispatch thread never fails");
-
-        NotificationHub {
-            note_tx,
-            control_tx: hub_tx,
-            pump: Some(pump),
-            dispatch: Some(dispatch),
-        }
-    }
-
-    /// Drop the hub's own senders and wait for its threads; any automata
-    /// still holding notifier clones keep the pump alive until they are
-    /// unregistered, so callers unregister first.
-    pub(crate) fn finish(mut self) {
-        drop(self.note_tx);
-        drop(self.control_tx);
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.dispatch.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn notification_message(note: pscache::Notification) -> ServerMessage {
+/// The wire form of one automaton notification; both transports' sinks
+/// build it on the pool worker that ran `send()`.
+pub(crate) fn notification_message(note: pscache::Notification) -> ServerMessage {
     ServerMessage::Notification {
         automaton: note.automaton.0,
         values: note.values,
@@ -300,7 +165,6 @@ pub struct RpcServer {
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     stats: Arc<StatsInner>,
-    hub: Option<NotificationHub>,
 }
 
 impl std::fmt::Debug for RpcServer {
@@ -322,8 +186,9 @@ const DRAIN_GRACE: std::time::Duration = std::time::Duration::from_secs(5);
 impl RpcServer {
     /// Bind to `addr` (use port 0 for an ephemeral port) and start
     /// accepting connections. Every accepted connection is served by its
-    /// own worker thread against the shared cache; automaton
-    /// notifications from all connections flow through one fan-out hub.
+    /// own worker thread against the shared cache; an automaton's
+    /// notifications go straight to the writer of the connection that
+    /// registered it.
     ///
     /// # Errors
     ///
@@ -354,7 +219,6 @@ impl RpcServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
-        let hub = NotificationHub::start(Arc::clone(&stats));
         let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
 
@@ -363,8 +227,6 @@ impl RpcServer {
         let accept_stats = Arc::clone(&stats);
         let accept_workers = Arc::clone(&workers);
         let accept_conns = Arc::clone(&conns);
-        let note_tx = hub.note_tx.clone();
-        let control_tx = hub.control_tx.clone();
         let served_cache = cache.clone();
         let accept_thread = std::thread::Builder::new()
             .name("psrpc-accept".into())
@@ -386,20 +248,13 @@ impl RpcServer {
                     let cache = cache.clone();
                     let stats = Arc::clone(&accept_stats);
                     let conns = Arc::clone(&accept_conns);
-                    let note_tx = note_tx.clone();
-                    let control_tx = control_tx.clone();
                     let draining = Arc::clone(&accept_draining);
                     let worker = std::thread::Builder::new()
                         .name(format!("psrpc-conn-{conn_id}"))
                         .spawn(move || {
-                            let _ = serve_tcp_connection(
-                                cache,
-                                stream,
-                                &note_tx,
-                                &control_tx,
-                                &stats,
-                                &draining,
-                            );
+                            let _ = tcp_split(stream).and_then(|(send, recv)| {
+                                serve(cache, send, recv, &stats, &draining)
+                            });
                             stats.active.fetch_sub(1, Ordering::Release);
                             conns.lock().remove(&conn_id);
                         })
@@ -423,7 +278,6 @@ impl RpcServer {
             workers,
             conns,
             stats,
-            hub: Some(hub),
         })
     }
 
@@ -472,11 +326,6 @@ impl RpcServer {
         for worker in workers {
             let _ = worker.join();
         }
-        // Workers have unregistered their automata, so no notifier clones
-        // remain and the hub drains and exits.
-        if let Some(hub) = self.hub.take() {
-            hub.finish();
-        }
         // Every request is answered and no new one can arrive: force any
         // buffered log records to disk before the server is gone.
         let _ = self.cache.flush_wal();
@@ -485,66 +334,51 @@ impl RpcServer {
 
 impl Drop for RpcServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() || self.hub.is_some() {
+        if self.accept_thread.is_some() {
             self.stop();
         }
     }
 }
 
-fn serve_tcp_connection(
-    cache: Cache,
-    stream: TcpStream,
-    note_tx: &Sender<pscache::Notification>,
-    control_tx: &Sender<HubMsg>,
-    stats: &StatsInner,
-    draining: &AtomicBool,
-) -> Result<()> {
-    let (send, recv) = tcp_split(stream)?;
-    serve_with_hub(cache, send, recv, note_tx, control_tx, stats, draining)
-}
-
-/// Serve one duplex connection until the peer disconnects, with a private
-/// fan-out hub. Usable with any transport (TCP or in-process), which is
-/// how the stress benchmarks and the in-process client embed a server
-/// without a network stack.
+/// Serve one duplex connection until the peer disconnects. Usable with
+/// any transport (TCP or in-process), which is how the stress benchmarks
+/// and the in-process client embed a server without a network stack.
 pub fn serve_connection(
     cache: Cache,
     send: impl SendHalf + 'static,
     recv: impl RecvHalf,
 ) -> Result<()> {
     let stats = Arc::new(StatsInner::default());
-    let hub = NotificationHub::start(Arc::clone(&stats));
-    let note_tx = hub.note_tx.clone();
-    let control_tx = hub.control_tx.clone();
     let never_draining = AtomicBool::new(false);
-    let result = serve_with_hub(
-        cache,
-        send,
-        recv,
-        &note_tx,
-        &control_tx,
-        &stats,
-        &never_draining,
-    );
-    // Our clones must go before finish(), or the hub threads never see
-    // the disconnect they join on.
-    drop(note_tx);
-    drop(control_tx);
-    hub.finish();
-    result
+    serve(cache, send, recv, &stats, &never_draining)
+}
+
+/// The blocking transport's [`NotificationSink`]: the notification joins
+/// the replies on the connection's writer queue. An unbounded channel
+/// send, so the pool worker delivering it never waits on the socket.
+struct WriterSink {
+    out_tx: Sender<ServerMessage>,
+    stats: Arc<StatsInner>,
+}
+
+impl NotificationSink for WriterSink {
+    fn deliver(&self, note: pscache::Notification) -> bool {
+        let accepted = self.out_tx.send(notification_message(note)).is_ok();
+        if accepted {
+            self.stats.notifications.fetch_add(1, Ordering::Release);
+        }
+        accepted
+    }
 }
 
 /// The per-connection worker body: spawns the connection's writer thread,
 /// decodes and executes requests in order, and tears down the
 /// connection's automata when the peer goes away.
-#[allow(clippy::too_many_arguments)]
-fn serve_with_hub(
+fn serve(
     cache: Cache,
     mut send: impl SendHalf + 'static,
     mut recv: impl RecvHalf,
-    note_tx: &Sender<pscache::Notification>,
-    control_tx: &Sender<HubMsg>,
-    stats: &StatsInner,
+    stats: &Arc<StatsInner>,
     draining: &AtomicBool,
 ) -> Result<()> {
     // All messages to the client are funnelled through one writer thread
@@ -563,14 +397,18 @@ fn serve_with_hub(
 
     let ctx = RequestCtx {
         cache: &cache,
-        note_tx,
-        control_tx,
         stats,
     };
+    let sink = || WriterSink {
+        out_tx: out_tx.clone(),
+        stats: Arc::clone(stats),
+    };
     let mut registered = HashSet::new();
-    let result = serve_requests(&ctx, &mut registered, &out_tx, &mut recv, draining);
+    let result = serve_requests(&ctx, &mut registered, &sink, &out_tx, &mut recv, draining);
 
-    // The client is gone: its automata (and their routes) go with it.
+    // The client is gone: its automata go with it, and with them every
+    // sink clone of `out_tx` — which is what lets the writer below see
+    // the channel close.
     teardown_registered(&ctx, &mut registered);
     drop(out_tx);
     let _ = writer.join();
@@ -578,29 +416,27 @@ fn serve_with_hub(
 }
 
 /// The transport-independent surroundings of one request: the cache it
-/// executes against, the hub handles new automata attach to, and the
-/// counters it reports into. The blocking server builds one per
-/// connection worker; the reactor builds one per worker thread and
-/// shares it across the connections that worker drains.
+/// executes against and the counters it reports into. The blocking
+/// server builds one per connection worker; the reactor builds one per
+/// worker thread and shares it across the connections that worker drains.
 pub(crate) struct RequestCtx<'a> {
     pub(crate) cache: &'a Cache,
-    pub(crate) note_tx: &'a Sender<pscache::Notification>,
-    pub(crate) control_tx: &'a Sender<HubMsg>,
     pub(crate) stats: &'a StatsInner,
 }
 
-/// Unregister everything a departed connection had registered and drop
-/// the hub routes; shared by both transports' teardown paths.
+/// Unregister everything a departed connection had registered (each
+/// automaton's sink is dropped by the drain); shared by both transports'
+/// teardown paths.
 pub(crate) fn teardown_registered(ctx: &RequestCtx<'_>, registered: &mut HashSet<AutomatonId>) {
     for id in registered.drain() {
         let _ = ctx.cache.unregister_automaton(id);
-        let _ = ctx.control_tx.send(HubMsg::RemoveRoute(id.0));
     }
 }
 
 fn serve_requests(
     ctx: &RequestCtx<'_>,
     registered: &mut HashSet<AutomatonId>,
+    sink: &dyn Fn() -> WriterSink,
     out_tx: &Sender<ServerMessage>,
     recv: &mut impl RecvHalf,
     draining: &AtomicBool,
@@ -620,12 +456,11 @@ fn serve_requests(
         };
         let msg = ClientMessage::decode(&bytes)?;
         ctx.stats.requests.fetch_add(1, Ordering::Release);
-        let route = || Box::new(out_tx.clone()) as Box<dyn RouteSink>;
         let token = msg
             .token
             .map(|(client_id, seq)| IdemToken { client_id, seq });
         ctx.stats.worker_busy.fetch_add(1, Ordering::Release);
-        let reply = handle_request(ctx, registered, &route, msg.request, token);
+        let reply = handle_request(ctx, registered, sink, msg.request, token);
         ctx.stats.worker_busy.fetch_sub(1, Ordering::Release);
         if out_tx
             .send(ServerMessage::Reply {
@@ -682,17 +517,17 @@ pub(crate) fn req_kind(request: &Request) -> pscache::ReqKind {
 
 /// Execute one decoded request against the cache on behalf of one
 /// connection. `registered` is that connection's automaton ownership
-/// set and `make_route` builds the sink the hub will route the new
-/// automaton's notifications through — the only two transport-specific
+/// set and `make_sink` builds the sink a newly registered automaton
+/// delivers its notifications into — the only two transport-specific
 /// inputs, which is what lets the blocking server and the reactor share
 /// every request semantic (including flush-before-ack durability and
 /// idempotency-token dedup). `token` is the client's exactly-once stamp
 /// on mutating requests: a token whose outcome the cache already
 /// remembers short-circuits to that outcome instead of re-executing.
-pub(crate) fn handle_request(
+pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
     ctx: &RequestCtx<'_>,
     registered: &mut HashSet<AutomatonId>,
-    make_route: &dyn Fn() -> Box<dyn RouteSink>,
+    make_sink: impl FnOnce() -> S,
     request: Request,
     token: Option<IdemToken>,
 ) -> CacheReply {
@@ -773,14 +608,10 @@ pub(crate) fn handle_request(
         Request::RegisterAutomaton { source } => {
             match ctx
                 .cache
-                .register_automaton_with_notifier(&source, ctx.note_tx.clone())
+                .register_automaton_with_notifier(&source, make_sink())
             {
                 Ok(id) => {
                     registered.insert(id);
-                    // Route the automaton's notifications to this
-                    // connection's writer; anything the hub parked while
-                    // we got here is flushed first.
-                    let _ = ctx.control_tx.send(HubMsg::AddRoute(id.0, make_route()));
                     CacheReply::Registered { id: id.0 }
                 }
                 Err(e) => CacheReply::Error {
@@ -791,9 +622,11 @@ pub(crate) fn handle_request(
         Request::UnregisterAutomaton { id } => {
             let id = AutomatonId(id);
             match ctx.cache.unregister_automaton(id) {
+                // The drain is acknowledged: every notification the
+                // automaton produced is already in this connection's
+                // outbound queue, ahead of the reply built here.
                 Ok(()) => {
                     registered.remove(&id);
-                    let _ = ctx.control_tx.send(HubMsg::RemoveRoute(id.0));
                     CacheReply::Unregistered
                 }
                 Err(e) => CacheReply::Error {
@@ -830,16 +663,15 @@ fn response_to_reply(response: Response) -> CacheReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::Receiver;
     use gapl::event::Scalar;
     use pscache::CacheBuilder;
 
-    /// A per-test harness owning the hub handles [`RequestCtx`] borrows.
+    /// A per-test connection: the counters and ownership set a transport
+    /// would hold around [`handle_request`], with a plain channel sender
+    /// standing in for the transport's notification sink.
     struct TestConn {
         note_tx: Sender<pscache::Notification>,
-        control_tx: Sender<HubMsg>,
-        out_tx: Sender<ServerMessage>,
-        stats: Arc<StatsInner>,
+        stats: StatsInner,
         registered: HashSet<AutomatonId>,
     }
 
@@ -847,28 +679,19 @@ mod tests {
         fn handle(&mut self, cache: &Cache, request: Request) -> CacheReply {
             let ctx = RequestCtx {
                 cache,
-                note_tx: &self.note_tx,
-                control_tx: &self.control_tx,
                 stats: &self.stats,
             };
-            let out_tx = self.out_tx.clone();
-            let route = move || Box::new(out_tx.clone()) as Box<dyn RouteSink>;
-            handle_request(&ctx, &mut self.registered, &route, request, None)
+            let sink = || self.note_tx.clone();
+            handle_request(&ctx, &mut self.registered, sink, request, None)
         }
     }
 
-    fn test_conn(_cache: &Cache) -> (TestConn, Receiver<ServerMessage>, NotificationHub) {
-        let stats = Arc::new(StatsInner::default());
-        let hub = NotificationHub::start(Arc::clone(&stats));
-        let (out_tx, out_rx) = unbounded();
-        let conn = TestConn {
-            note_tx: hub.note_tx.clone(),
-            control_tx: hub.control_tx.clone(),
-            out_tx,
-            stats,
+    fn test_conn() -> TestConn {
+        TestConn {
+            note_tx: unbounded().0,
+            stats: StatsInner::default(),
             registered: HashSet::new(),
-        };
-        (conn, out_rx, hub)
+        }
     }
 
     #[test]
@@ -920,7 +743,7 @@ mod tests {
     #[test]
     fn handle_request_reports_cache_errors() {
         let cache = CacheBuilder::new().build();
-        let (mut conn, _out_rx, _hub) = test_conn(&cache);
+        let mut conn = test_conn();
         let reply = conn.handle(
             &cache,
             Request::Execute {
@@ -947,7 +770,7 @@ mod tests {
     fn batched_inserts_execute_against_the_cache() {
         let cache = CacheBuilder::new().build();
         cache.execute("create table T (v integer)").unwrap();
-        let (mut conn, _out_rx, _hub) = test_conn(&cache);
+        let mut conn = test_conn();
         let reply = conn.handle(
             &cache,
             Request::InsertBatch {
@@ -980,7 +803,7 @@ mod tests {
                 .unwrap();
         }
         assert!(cache.quiesce(std::time::Duration::from_secs(5)));
-        let (mut conn, _out_rx, _hub) = test_conn(&cache);
+        let mut conn = test_conn();
         match conn.handle(&cache, Request::ServerStats) {
             CacheReply::Stats { stats } => {
                 assert_eq!(stats.automata_active, 1);
@@ -991,34 +814,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn the_hub_parks_notifications_until_the_route_appears() {
-        let stats = Arc::new(StatsInner::default());
-        let hub = NotificationHub::start(Arc::clone(&stats));
-        // A notification for an automaton with no route yet.
-        hub.note_tx
-            .send(pscache::Notification {
-                automaton: AutomatonId(7),
-                values: vec![Scalar::Int(1)],
-                at: 5,
-            })
-            .unwrap();
-        // Adding the route flushes the parked notification.
-        let (out_tx, out_rx) = unbounded();
-        assert!(hub
-            .control_tx
-            .send(HubMsg::AddRoute(7, Box::new(out_tx)))
-            .is_ok());
-        let msg = out_rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .unwrap();
-        assert!(matches!(
-            msg,
-            ServerMessage::Notification { automaton: 7, .. }
-        ));
-        assert_eq!(stats.notifications.load(Ordering::Acquire), 1);
-        hub.finish();
     }
 }
