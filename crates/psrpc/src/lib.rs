@@ -67,6 +67,7 @@
 pub mod client;
 pub mod cluster;
 pub mod error;
+mod exec;
 pub mod framing;
 pub mod message;
 pub mod poll;

@@ -6,7 +6,7 @@
 //! worker blocks in `read` between requests — serialises every client on
 //! its own round-trip latency. This module keeps that server compiled in
 //! as the semantic oracle and adds a second transport with the same wire
-//! format and the same request semantics (both call the server module's
+//! format and the same request semantics (both call `crate::exec`'s
 //! `handle_request`) but an inverted thread model:
 //!
 //! * one **reactor thread** owns every socket. It blocks in
@@ -47,13 +47,13 @@ use parking_lot::Mutex;
 use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink};
 
 use crate::error::{Error, Result};
+use crate::exec::{
+    handle_request, health_report, notification_message, req_kind, teardown_registered, RequestCtx,
+    StatsInner,
+};
 use crate::framing::{fragment, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
 use crate::message::{CacheReply, ClientMessage, Request, ServerMessage, ServerStats};
 use crate::poll::{self, PollFd, Waker, POLL_IN, POLL_OUT};
-use crate::server::{
-    handle_request, health_report, notification_message, teardown_registered, RequestCtx,
-    StatsInner,
-};
 
 /// Requests one worker executes for a connection before re-queuing it,
 /// so one deeply pipelined client cannot starve the others.
@@ -588,7 +588,7 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
             };
             (
                 at.elapsed().as_nanos() as u64,
-                crate::server::req_kind(&msg.request),
+                req_kind(&msg.request),
                 table,
                 Instant::now(),
             )
