@@ -15,7 +15,8 @@
 #   build   release build of the whole workspace (vendored deps only,
 #           no network access required)
 #   test    the full test suite (unit, integration, property suites)
-#   docs    rustdoc -D warnings + every doctest (scripts/check_docs.sh)
+#   docs    rustdoc -D warnings + every doctest + every file path the
+#           docs quote exists (scripts/check_docs.sh)
 #   cluster the multi-node scenario gate: 2 partitions x (durable
 #           primary + durable follower) over real sockets, one primary
 #           killed and its follower promoted — no acked write lost,

@@ -202,41 +202,47 @@ fn a_flooding_client_is_throttled_while_neighbours_and_health_stay_responsive() 
 
 #[test]
 fn a_consumer_that_stops_draining_notifications_is_evicted() {
+    const AUTOMATA: usize = 4;
     let cache = CacheBuilder::new()
         .client_policy(ClientPolicy {
             max_outbox_bytes: 64 * 1024,
             ..ClientPolicy::default()
         })
+        .automaton_workers(AUTOMATA)
         .build();
     cache
         .execute("create table T (v varchar(4000)) capacity 64")
         .unwrap();
     let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
 
-    // A raw client registers an automaton, reads the registration
-    // reply... and then never reads again.
+    // A raw client registers one automaton per pool worker (ids are
+    // consecutive and pinned `id mod workers`), so every worker delivers
+    // into the same outbox concurrently; it reads the registration
+    // replies... and then never reads again.
     let raw = TcpStream::connect(server.local_addr()).unwrap();
     let mut writer = raw.try_clone().unwrap();
-    let msg = ClientMessage {
-        seq: 1,
-        token: None,
-        trace: None,
-        request: Request::RegisterAutomaton {
-            source: "subscribe t to T; behavior { send(t.v); }".into(),
-        },
-    }
-    .encode();
-    framing::write_message(&mut writer, &msg).unwrap();
     let mut reader = raw.try_clone().unwrap();
-    let reply = framing::read_message(&mut reader).unwrap().unwrap();
-    match ServerMessage::decode(&reply).unwrap() {
-        ServerMessage::Reply {
-            reply: CacheReply::Registered { .. },
-            ..
-        } => {}
-        other => panic!("unexpected registration reply: {other:?}"),
+    for seq in 1..=AUTOMATA as u64 {
+        let msg = ClientMessage {
+            seq,
+            token: None,
+            trace: None,
+            request: Request::RegisterAutomaton {
+                source: "subscribe t to T; behavior { send(t.v); }".into(),
+            },
+        }
+        .encode();
+        framing::write_message(&mut writer, &msg).unwrap();
+        let reply = framing::read_message(&mut reader).unwrap().unwrap();
+        match ServerMessage::decode(&reply).unwrap() {
+            ServerMessage::Reply {
+                reply: CacheReply::Registered { .. },
+                ..
+            } => {}
+            other => panic!("unexpected registration reply: {other:?}"),
+        }
     }
-    assert_eq!(cache.automata().len(), 1);
+    assert_eq!(cache.automata().len(), AUTOMATA);
 
     // A firehose fills the dead consumer's outbox: ~4 MB of notification
     // payload against a 64 KB bound (the kernel socket buffers absorb
@@ -266,6 +272,11 @@ fn a_consumer_that_stops_draining_notifications_is_evicted() {
         server.stats().connections_active == 1
     }));
     assert_eq!(firehose.select("select * from T").unwrap().len(), 64);
+    // Four workers pushed the outbox past its bound at about the same
+    // moment; the connection was evicted once, and counted once.
+    let health = firehose.health().unwrap();
+    assert_eq!(health.slow_consumer_evictions, 1);
+    assert_eq!(health.automaton_unregistrations, AUTOMATA as u64);
     drop(raw);
     server.shutdown();
 }

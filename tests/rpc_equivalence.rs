@@ -14,8 +14,9 @@
 //! timestamps), pipelining is only allowed between consecutive requests
 //! of the *same* client (per-connection ordering is guaranteed; cross-
 //! connection ordering is not, so the driver barriers on client
-//! switches), and unregistration quiesces first so no notification is
-//! racing the route teardown.
+//! switches). Unregistration does *not* quiesce first: it races whatever
+//! events are still in the automaton's mailbox, and both servers must
+//! still deliver every one of them — ahead of the `Unregistered` reply.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -226,12 +227,11 @@ impl Driver {
                 }
             }
             7 => {
-                // Unregister the client's oldest automaton — after
-                // settling, so no notification races the route teardown.
+                // Unregister the client's oldest automaton, racing the
+                // events of every insert acknowledged so far.
                 if self.registered[client].is_empty() {
                     self.issue(client, Request::Ping);
                 } else {
-                    self.settle_notifications();
                     let id = self.registered[client].remove(0);
                     let _ = self.sync(client, Request::UnregisterAutomaton { id });
                 }
