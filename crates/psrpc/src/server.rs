@@ -256,6 +256,7 @@ pub fn serve_connection(
 /// The blocking transport's [`NotificationSink`]: the notification joins
 /// the replies on the connection's writer queue. An unbounded channel
 /// send, so the pool worker delivering it never waits on the socket.
+#[derive(Clone)]
 struct WriterSink {
     out_tx: Sender<ServerMessage>,
     stats: Arc<StatsInner>,
@@ -299,18 +300,18 @@ fn serve(
         cache: &cache,
         stats,
     };
-    let sink = || WriterSink {
-        out_tx: out_tx.clone(),
+    let sink = WriterSink {
+        out_tx,
         stats: Arc::clone(stats),
     };
     let mut registered = HashSet::new();
-    let result = serve_requests(&ctx, &mut registered, &sink, &out_tx, &mut recv, draining);
+    let result = serve_requests(&ctx, &mut registered, &sink, &mut recv, draining);
 
     // The client is gone: its automata go with it, and with them every
-    // sink clone of `out_tx` — which is what lets the writer below see
-    // the channel close.
+    // clone of the sink — which is what lets the writer below see the
+    // channel close.
     teardown_registered(&ctx, &mut registered);
-    drop(out_tx);
+    drop(sink);
     let _ = writer.join();
     result
 }
@@ -318,8 +319,7 @@ fn serve(
 fn serve_requests(
     ctx: &RequestCtx<'_>,
     registered: &mut HashSet<AutomatonId>,
-    sink: &dyn Fn() -> WriterSink,
-    out_tx: &Sender<ServerMessage>,
+    sink: &WriterSink,
     recv: &mut impl RecvHalf,
     draining: &AtomicBool,
 ) -> Result<()> {
@@ -342,9 +342,10 @@ fn serve_requests(
             .token
             .map(|(client_id, seq)| IdemToken { client_id, seq });
         ctx.stats.worker_busy.fetch_add(1, Ordering::Release);
-        let reply = handle_request(ctx, registered, sink, msg.request, token);
+        let reply = handle_request(ctx, registered, || sink.clone(), msg.request, token);
         ctx.stats.worker_busy.fetch_sub(1, Ordering::Release);
-        if out_tx
+        if sink
+            .out_tx
             .send(ServerMessage::Reply {
                 seq: msg.seq,
                 reply,

@@ -10,7 +10,7 @@
 //!   one contiguous run of fragments on the wire, in per-automaton order.
 //!
 //! Both hold on the event-driven `ReactorServer` and on the blocking
-//! `RpcServer` oracle; every test here talks raw framed bytes so it sees
+//! `RpcServer` oracle; every test here reads raw framed bytes so it sees
 //! exactly what the socket carried, in the order it carried it.
 
 use std::collections::BTreeMap;
@@ -24,33 +24,14 @@ use psrpc::reactor::ReactorServer;
 use psrpc::server::RpcServer;
 use unipubsub::prelude::*;
 
-/// Either server flavour, kept alive for the length of a test.
-enum Server {
-    Blocking(RpcServer),
-    Reactor(ReactorServer),
-}
-
-impl Server {
-    fn start(kind: &str, cache: pscache::Cache) -> Server {
-        match kind {
-            "blocking" => Server::Blocking(RpcServer::bind(cache, "127.0.0.1:0").unwrap()),
-            _ => Server::Reactor(ReactorServer::bind(cache, "127.0.0.1:0").unwrap()),
-        }
-    }
-
-    fn addr(&self) -> SocketAddr {
-        match self {
-            Server::Blocking(s) => s.local_addr(),
-            Server::Reactor(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Server::Blocking(s) => s.shutdown(),
-            Server::Reactor(s) => s.shutdown(),
-        }
-    }
+/// Run `body` against a fresh cache served by each server flavour.
+fn on_both_servers(build: impl Fn() -> pscache::Cache, body: impl Fn(&str, SocketAddr)) {
+    let blocking = RpcServer::bind(build(), "127.0.0.1:0").unwrap();
+    body("blocking", blocking.local_addr());
+    blocking.shutdown();
+    let reactor = ReactorServer::bind(build(), "127.0.0.1:0").unwrap();
+    body("reactor", reactor.local_addr());
+    reactor.shutdown();
 }
 
 fn send(stream: &mut TcpStream, seq: u64, request: Request) {
@@ -94,11 +75,13 @@ fn every_notification_precedes_the_unregistered_reply_and_none_follows() {
     const K: u64 = 300;
     const UNREGISTER: u64 = K + 2;
     const PING: u64 = K + 3;
-    for kind in ["blocking", "reactor"] {
+    let build = || {
         let cache = CacheBuilder::new().build();
         cache.execute("create table T (v integer)").unwrap();
-        let server = Server::start(kind, cache);
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        cache
+    };
+    on_both_servers(build, |kind, addr| {
+        let mut stream = TcpStream::connect(addr).unwrap();
         let id = register(&mut stream, 1, "subscribe t to T; behavior { send(t.v); }");
 
         // K inserts, the unregistration and a trailing ping, all written
@@ -157,9 +140,7 @@ fn every_notification_precedes_the_unregistered_reply_and_none_follows() {
             after, 0,
             "{kind}: notifications after the Unregistered reply"
         );
-        drop(stream);
-        server.shutdown();
-    }
+    });
 }
 
 #[test]
@@ -170,13 +151,15 @@ fn concurrent_multi_fragment_notifications_never_interleave_on_the_wire() {
     fn blob(seq: i64) -> String {
         format!("{seq:08}").repeat(320)
     }
-    for kind in ["blocking", "reactor"] {
+    let build = || {
         let cache = CacheBuilder::new().automaton_workers(4).build();
         cache
             .execute("create table T (seq integer, blob varchar(4000)) capacity 64")
             .unwrap();
-        let server = Server::start(kind, cache);
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        cache
+    };
+    on_both_servers(build, |kind, addr| {
+        let mut stream = TcpStream::connect(addr).unwrap();
         let ids: Vec<u64> = (0..AUTOMATA)
             .map(|i| {
                 register(
@@ -189,7 +172,6 @@ fn concurrent_multi_fragment_notifications_never_interleave_on_the_wire() {
 
         // Every tick wakes all eight automata, two per pool worker, and
         // each pushes ~2.5 KB at the one subscriber connection.
-        let addr = server.addr();
         let ticker = std::thread::spawn(move || {
             let client = CacheClient::connect(addr).unwrap();
             for seq in 0..TICKS {
@@ -220,7 +202,5 @@ fn concurrent_multi_fragment_notifications_never_interleave_on_the_wire() {
         }
         assert!(next_seq.values().all(|&seq| seq == TICKS), "{kind}");
         ticker.join().unwrap();
-        drop(stream);
-        server.shutdown();
-    }
+    });
 }
