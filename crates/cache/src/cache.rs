@@ -843,8 +843,11 @@ impl Cache {
     }
 
     /// The remembered outcome of a token-stamped mutation, if the
-    /// bounded token table still holds it — the dedup lookup the RPC
-    /// server performs before executing a tokened request.
+    /// bounded token table still holds it. An outcome is remembered
+    /// from the moment its mutation is staged, which may be before its
+    /// record is durable: a caller that will *acknowledge* the outcome
+    /// — the RPC server's dedup before executing a tokened request —
+    /// uses [`WriteRun::token_lookup`] instead.
     pub fn token_lookup(&self, token: IdemToken) -> Option<TokenOutcome> {
         self.inner.tokens.lock().lookup(token)
     }
@@ -1034,8 +1037,8 @@ impl Cache {
     }
 
     /// Flush every buffered write-ahead-log record to disk. A no-op
-    /// under [`SyncPolicy::Immediate`] and [`SyncPolicy::Group`] (the
-    /// insert path already waited for durability) and the explicit
+    /// under [`SyncPolicy::Immediate`] and [`SyncPolicy::Group`] (a
+    /// committed [`WriteRun`] already waited for durability) and the explicit
     /// durability point under [`SyncPolicy::OsOnly`] — the RPC server
     /// calls this before acknowledging inserts, so a client ack always
     /// implies the data is on disk. Without durability enabled this
@@ -1141,25 +1144,17 @@ impl Cache {
                 values,
                 on_duplicate_update,
             } => {
-                let outcome =
-                    self.inner
-                        .insert_values_tokened(&table, values, on_duplicate_update, token)?;
-                Ok(Response::Inserted {
-                    replaced: outcome.replaced,
-                    tstamp: outcome.stored.tstamp(),
-                })
+                let (replaced, tstamp) =
+                    self.insert_with_token(&table, values, on_duplicate_update, token)?;
+                Ok(Response::Inserted { replaced, tstamp })
             }
             Command::InsertBatch {
                 table,
                 rows,
                 on_duplicate_update,
             } => {
-                let tstamps = self.inner.insert_batch_values_tokened(
-                    &table,
-                    rows,
-                    on_duplicate_update,
-                    token,
-                )?;
+                let tstamps =
+                    self.insert_batch_with_token(&table, rows, on_duplicate_update, token)?;
                 Ok(Response::InsertedBatch { tstamps })
             }
             Command::Select(query) => {
@@ -1258,7 +1253,7 @@ impl Cache {
     /// is applied prefix-wise: rows before the first bad row stay
     /// inserted, the bad row and everything after it are discarded.
     pub fn insert_batch(&self, table: &str, rows: Vec<Vec<Scalar>>) -> Result<Vec<Timestamp>> {
-        self.inner.insert_batch_values(table, rows, false)
+        self.insert_batch_with_token(table, rows, false, None)
     }
 
     /// Batched [`Cache::upsert`]: like [`Cache::insert_batch`] with
@@ -1268,7 +1263,7 @@ impl Cache {
     ///
     /// See [`Cache::insert_batch`].
     pub fn upsert_batch(&self, table: &str, rows: Vec<Vec<Scalar>>) -> Result<Vec<Timestamp>> {
-        self.inner.insert_batch_values(table, rows, true)
+        self.insert_batch_with_token(table, rows, true, None)
     }
 
     /// [`Cache::insert`]/[`Cache::upsert`] for a token-stamped request:
@@ -1289,8 +1284,7 @@ impl Cache {
         token: Option<IdemToken>,
     ) -> Result<(bool, Timestamp)> {
         self.inner
-            .insert_values_tokened(table, values, upsert, token)
-            .map(|o| (o.replaced, o.stored.tstamp()))
+            .run_of_one(|run| run.insert(table, values, upsert, token))
     }
 
     /// [`Cache::insert_batch`]/[`Cache::upsert_batch`] for a
@@ -1309,7 +1303,14 @@ impl Cache {
         token: Option<IdemToken>,
     ) -> Result<Vec<Timestamp>> {
         self.inner
-            .insert_batch_values_tokened(table, rows, upsert, token)
+            .run_of_one(|run| run.insert_batch(table, rows, upsert, token))
+    }
+
+    /// Open a [`WriteRun`]: stage any number of inserts, then pay for
+    /// their durability once. Every synchronous insert above is a run
+    /// of one.
+    pub fn write_run(&self) -> WriteRun<'_> {
+        WriteRun::new(&self.inner)
     }
 
     /// Run an ad hoc query.
@@ -1738,6 +1739,191 @@ impl Drop for Cache {
     }
 }
 
+/// The durable write path in two phases: **stage** any number of
+/// inserts, then **commit** them with one durability wait. Opened by
+/// [`Cache::write_run`].
+///
+/// Staging does everything a write does under its table's lock — the
+/// row is staged (invisible to readers), its log record appended, its
+/// idempotency token recorded, the tuple published to subscribed
+/// automata — and returns the outcome the caller will acknowledge.
+/// [`WriteRun::commit`] then waits *once* for the newest staged record,
+/// makes every staged row visible and runs a checkpoint if one is due.
+/// A run of one is the synchronous insert; a run of many is how a
+/// single pipelined writer shares a group-commit wave with itself.
+///
+/// What a caller may rely on, and must uphold:
+///
+/// * **Flush-before-ack.** An outcome whose call raised
+///   [`WriteRun::awaiting`] must not be acknowledged before `commit`
+///   has returned; if it returns an error those outcomes are void
+///   (answer them with that error). The others — a write to an
+///   in-memory table, a refused row — stand on their own.
+/// * **Flush-before-visible.** A staged row of a durable table is
+///   invisible to every reader (this run's thread included) until the
+///   wait inside `commit` has returned; writes that need no log record
+///   are visible at once, as they are without a run.
+/// * **A staged row is never stranded.** Dropping the run commits it,
+///   whatever path abandoned it; only the error is lost.
+/// * Notification, token and log order (hence replication-ship order)
+///   are staging order: the tuple is published, the token recorded and
+///   the LSN minted under the table lock, at stage time.
+#[derive(Debug)]
+pub struct WriteRun<'a> {
+    cache: &'a CacheInner,
+    /// Tables holding rows this run staged behind a log record, each
+    /// with the staged tail `commit` makes visible.
+    touched: Vec<(Arc<crate::table::TableHandle>, u64)>,
+    /// The newest LSN `commit` must see durable.
+    lsn: Option<u64>,
+    /// Outcomes returned so far that wait on that LSN.
+    awaiting: usize,
+}
+
+impl<'a> WriteRun<'a> {
+    fn new(cache: &'a CacheInner) -> WriteRun<'a> {
+        WriteRun {
+            cache,
+            touched: Vec::new(),
+            lsn: None,
+            awaiting: 0,
+        }
+    }
+
+    /// Stage [`Cache::insert_with_token`]: same arguments, same outcome,
+    /// same errors — minus the durability wait.
+    ///
+    /// # Errors
+    ///
+    /// See [`Cache::insert`]; nothing is staged on error.
+    pub fn insert(
+        &mut self,
+        table: &str,
+        values: Vec<Scalar>,
+        upsert: bool,
+        token: Option<IdemToken>,
+    ) -> Result<(bool, Timestamp)> {
+        let cache = self.cache;
+        cache
+            .stage_values(self, table, values, upsert, token)
+            .map(|o| (o.replaced, o.stored.tstamp()))
+    }
+
+    /// Stage [`Cache::insert_batch_with_token`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Cache::insert_batch`]; the rows before the first bad row
+    /// stay staged and commit with the run.
+    pub fn insert_batch(
+        &mut self,
+        table: &str,
+        rows: Vec<Vec<Scalar>>,
+        upsert: bool,
+        token: Option<IdemToken>,
+    ) -> Result<Vec<Timestamp>> {
+        let cache = self.cache;
+        cache.stage_batch_values(self, table, rows, upsert, token)
+    }
+
+    /// [`Cache::token_lookup`] for a caller about to *acknowledge* the
+    /// remembered outcome. A token is recorded when its mutation is
+    /// staged, so the original's record may still be waiting for its
+    /// flush (in another run, on another thread); a hit therefore makes
+    /// this run await the token table's newest LSN — at or above the
+    /// original's, and free when already durable — which puts the
+    /// retry's reply under the same flush-before-ack rule as the
+    /// original's.
+    pub fn token_lookup(&mut self, token: IdemToken) -> Option<TokenOutcome> {
+        let tokens = self.cache.tokens.lock();
+        let outcome = tokens.lookup(token)?;
+        if self.cache.wal.is_some() && tokens.high_lsn() > 0 {
+            self.await_lsn(tokens.high_lsn());
+        }
+        Some(outcome)
+    }
+
+    /// How many of the outcomes this run has returned are waiting for
+    /// [`WriteRun::commit`]: zero while nothing it did involves the
+    /// log. A call that raises the count returned such an outcome.
+    pub fn awaiting(&self) -> usize {
+        self.awaiting
+    }
+
+    fn await_lsn(&mut self, lsn: u64) {
+        self.lsn = self.lsn.max(Some(lsn));
+        self.awaiting += 1;
+    }
+
+    /// Make everything staged durable, then visible, honouring
+    /// **flush-before-visible**: the newest staged record is awaited
+    /// with no table lock held (group commit — the bytes reach the disk
+    /// here, not at append time), and only then is each touched table
+    /// re-locked to commit its staged prefix. A reader can therefore
+    /// never observe a row whose log record is still sitting in the
+    /// group-commit buffer. Waiting for the newest record alone is
+    /// enough, and out-of-order completion between runs is safe, because
+    /// the log's durability is prefix-ordered: a later record's flush
+    /// covers every earlier one, so a later writer's commit covering an
+    /// earlier writer's staged rows implies their records are durable
+    /// too. A checkpoint, if one is due, runs once at the end. The run
+    /// is empty afterwards and may be staged into again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Wal`] when the flush fails. The staged rows are
+    /// committed anyway — wedging them invisible would block every
+    /// later commit of their tables — and the error tells the writer
+    /// its records may not have reached the disk.
+    pub fn commit(&mut self) -> Result<()> {
+        let (Some(wal), Some(lsn)) = (&self.cache.wal, self.lsn.take()) else {
+            return Ok(());
+        };
+        self.awaiting = 0;
+        let durable = wal.wait_durable(lsn);
+        for (table, staged_end) in self.touched.drain(..) {
+            table.lock().commit_visible(staged_end);
+        }
+        durable?;
+        self.cache.maybe_checkpoint();
+        Ok(())
+    }
+
+    /// The tail of every staging call: `guard` still holds the lock the
+    /// rows were staged under and `ticket` is the LSN of the record
+    /// that logged them. A logged write joins the run; a write to an
+    /// in-memory table or stream commits here, under the lock already
+    /// held. A durable table arrives without a ticket only when the call
+    /// staged nothing (an empty batch, a refused first row), and must
+    /// not commit on behalf of rows still waiting for their flush.
+    fn staged(
+        &mut self,
+        table: &Arc<crate::table::TableHandle>,
+        mut guard: parking_lot::MutexGuard<'_, Table>,
+        ticket: Option<u64>,
+    ) {
+        let staged_end = guard.staged_tail();
+        let Some(lsn) = ticket else {
+            if self.cache.wal.is_none() || guard.kind() != TableKind::Persistent {
+                guard.commit_visible(staged_end);
+            }
+            return;
+        };
+        drop(guard);
+        self.await_lsn(lsn);
+        match self.touched.iter_mut().find(|(t, _)| Arc::ptr_eq(t, table)) {
+            Some(entry) => entry.1 = staged_end,
+            None => self.touched.push((Arc::clone(table), staged_end)),
+        }
+    }
+}
+
+impl Drop for WriteRun<'_> {
+    fn drop(&mut self) {
+        let _ = self.commit();
+    }
+}
+
 impl CacheInner {
     pub(crate) fn now(&self) -> Timestamp {
         self.clock.now()
@@ -1863,7 +2049,7 @@ impl CacheInner {
 
     /// Append one insert/upsert record for `rows` (already applied to the
     /// locked table behind `guard`) to the log. Returns the record's LSN
-    /// — the commit ticket to await once the table lock is released — or
+    /// — the commit ticket the [`WriteRun`] awaits at its commit — or
     /// `None` when the write needs no logging (durability off, or an
     /// ephemeral stream). A token, when present, is embedded in the
     /// record itself ([`wal::ReplayOp::Insert`]'s `token` field): one
@@ -2182,11 +2368,22 @@ impl CacheInner {
         values: Vec<Scalar>,
         on_duplicate_update: bool,
     ) -> Result<crate::table::InsertOutcome> {
-        self.insert_values_tokened(table_name, values, on_duplicate_update, None)
+        self.run_of_one(|run| self.stage_values(run, table_name, values, on_duplicate_update, None))
     }
 
-    pub(crate) fn insert_values_tokened(
+    /// The synchronous write: stage into a fresh [`WriteRun`] and commit
+    /// it before returning. A log failure outranks the staging call's
+    /// own error, since the rows it did stage may not be on disk.
+    fn run_of_one<T>(&self, stage: impl FnOnce(&mut WriteRun<'_>) -> Result<T>) -> Result<T> {
+        let mut run = WriteRun::new(self);
+        let staged = stage(&mut run);
+        run.commit()?;
+        staged
+    }
+
+    fn stage_values(
         &self,
+        run: &mut WriteRun<'_>,
         table_name: &str,
         values: Vec<Scalar>,
         on_duplicate_update: bool,
@@ -2197,11 +2394,12 @@ impl CacheInner {
         let table = self.tables.get(table_name)?;
         let mut guard = table.lock();
         let outcome = guard.stage_insert(values, self.now(), on_duplicate_update)?;
-        let staged_end = guard.staged_tail();
         // The log record is appended in the same critical section that
         // staged the row, so the log's order for this table equals
-        // its staging order; the durability *wait* happens after the lock
-        // drops, which is what lets concurrent inserters group-commit.
+        // its staging order; the durability *wait* happens at the run's
+        // commit, after the lock drops, which is what lets concurrent
+        // inserters — and one writer's consecutive requests —
+        // group-commit.
         let ticket = match self.wal_log_insert(
             table_name,
             &mut guard,
@@ -2215,6 +2413,7 @@ impl CacheInner {
                 // (matching the old apply-then-log semantics, where a
                 // log error left the row in place) and surface the
                 // error.
+                let staged_end = guard.staged_tail();
                 guard.commit_visible(staged_end);
                 return Err(e);
             }
@@ -2235,44 +2434,8 @@ impl CacheInner {
             );
         }
         self.publish_locked(table_name, std::slice::from_ref(&outcome.stored));
-        self.commit_staged(&table, guard, staged_end, ticket)?;
+        run.staged(&table, guard, ticket);
         Ok(outcome)
-    }
-
-    /// Make a staged prefix visible to the lock-free read path,
-    /// honouring **flush-before-visible**: with no WAL ticket the rows
-    /// commit under the lock already held; with one, the lock is
-    /// dropped first, the ticket is awaited (group commit — the bytes
-    /// reach the disk here, not at append time), and only then is the
-    /// table re-locked to commit. A reader can therefore never observe
-    /// a row whose log record is still sitting in the group-commit
-    /// buffer. Out-of-order ticket completion is safe: the log's
-    /// durability is prefix-ordered, so a later writer's commit
-    /// covering an earlier writer's staged rows implies their records
-    /// are durable too.
-    ///
-    /// On a flush error the staged rows are committed anyway — the old
-    /// engine had them visible from apply time, and wedging them
-    /// invisible would block every later commit of the table — and the
-    /// error propagates to the writer.
-    fn commit_staged(
-        &self,
-        table: &Arc<crate::table::TableHandle>,
-        guard: parking_lot::MutexGuard<'_, Table>,
-        staged_end: u64,
-        ticket: Option<u64>,
-    ) -> Result<()> {
-        let mut guard = guard;
-        let (Some(wal), Some(ticket)) = (&self.wal, ticket) else {
-            guard.commit_visible(staged_end);
-            return Ok(());
-        };
-        drop(guard);
-        let durable = wal.wait_durable(ticket);
-        table.lock().commit_visible(staged_end);
-        durable?;
-        self.maybe_checkpoint();
-        Ok(())
     }
 
     /// Insert many rows into one table under a single table-lock
@@ -2288,17 +2451,9 @@ impl CacheInner {
     /// Subscribed automata observe the batch as a contiguous run of
     /// deliveries in row order — the lock is held across the whole batch,
     /// so tuples from concurrent writers can never interleave with it.
-    pub(crate) fn insert_batch_values(
+    fn stage_batch_values(
         &self,
-        table_name: &str,
-        rows: Vec<Vec<Scalar>>,
-        on_duplicate_update: bool,
-    ) -> Result<Vec<Timestamp>> {
-        self.insert_batch_values_tokened(table_name, rows, on_duplicate_update, None)
-    }
-
-    pub(crate) fn insert_batch_values_tokened(
-        &self,
+        run: &mut WriteRun<'_>,
         table_name: &str,
         rows: Vec<Vec<Scalar>>,
         on_duplicate_update: bool,
@@ -2346,8 +2501,7 @@ impl CacheInner {
             }
         }
         // The staged prefix (everything before the first bad row)
-        // commits together below, as one visibility event.
-        let staged_end = guard.staged_tail();
+        // commits together, as one visibility event.
         // A batch that failed mid-way records no token: its applied
         // prefix stays at-least-once (documented limitation), and
         // embedding a token would make a retry of the *whole* batch
@@ -2362,6 +2516,7 @@ impl CacheInner {
         ) {
             Ok(ticket) => ticket,
             Err(e) => {
+                let staged_end = guard.staged_tail();
                 guard.commit_visible(staged_end);
                 return Err(e);
             }
@@ -2378,7 +2533,7 @@ impl CacheInner {
         if watched {
             self.publish_locked(table_name, &stored);
         }
-        self.commit_staged(&table, guard, staged_end, ticket)?;
+        run.staged(&table, guard, ticket);
         result?;
         Ok(tstamps)
     }
@@ -2508,6 +2663,15 @@ impl CacheInner {
     }
 
     pub(crate) fn persistent_remove(&self, table: &str, key: &str) -> Result<Option<Tuple>> {
+        self.run_of_one(|run| self.stage_removal(run, table, key))
+    }
+
+    fn stage_removal(
+        &self,
+        run: &mut WriteRun<'_>,
+        table: &str,
+        key: &str,
+    ) -> Result<Option<Tuple>> {
         self.ensure_writable("remove")?;
         // Removals are keyed, so ownership is checked on the key
         // directly — same rule as inserts, same redirectable error.
@@ -2524,7 +2688,6 @@ impl CacheInner {
         let t = self.tables.get(table)?;
         let mut guard = t.lock();
         let removed = guard.stage_remove(key)?;
-        let staged_end = guard.staged_tail();
         // Removals are logged unconditionally (even when the key was
         // absent): a remove is idempotent to replay, and logging every
         // call keeps the log a faithful, one-record-per-operation
@@ -2537,6 +2700,7 @@ impl CacheInner {
                         Some(lsn)
                     }
                     Err(e) => {
+                        let staged_end = guard.staged_tail();
                         guard.commit_visible(staged_end);
                         return Err(e);
                     }
@@ -2544,7 +2708,7 @@ impl CacheInner {
             }
             _ => None,
         };
-        self.commit_staged(&t, guard, staged_end, ticket)?;
+        run.staged(&t, guard, ticket);
         Ok(removed)
     }
 

@@ -66,7 +66,9 @@ pub mod table;
 pub mod wal;
 pub mod wire;
 
-pub use cache::{AutomatonTelemetry, Cache, CacheBuilder, DispatchStats, PlanCacheStats, Response};
+pub use cache::{
+    AutomatonTelemetry, Cache, CacheBuilder, DispatchStats, PlanCacheStats, Response, WriteRun,
+};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use cluster::{ClusterSpec, HashRing, SubBridge};
 pub use config::{

@@ -1203,7 +1203,10 @@ impl Wal {
         let mut state = self.lock();
         loop {
             state.check()?;
-            if state.durable_lsn >= lsn {
+            // An LSN above the newest appended frame names no record
+            // buffered here — it was on disk when the log was opened —
+            // so no flush could ever reach it.
+            if state.durable_lsn >= lsn.min(state.appended_lsn) {
                 return Ok(());
             }
             if state.syncing {
@@ -1274,10 +1277,11 @@ impl Wal {
     /// Force the buffered records onto disk. This is the
     /// flush-before-ack hook: under [`SyncPolicy::OsOnly`] it upgrades
     /// best-effort writes to durable ones. Under the other policies it
-    /// returns immediately: every *completed* insert already waited for
-    /// its own durability, and sweeping the buffer here would steal
-    /// records out of in-flight group-commit convoys — extra fsyncs
-    /// that shrink exactly the batches group commit exists to build.
+    /// returns immediately: every *committed* write run already waited
+    /// for its newest record ([`Wal::wait_durable`]), and sweeping the
+    /// buffer here would steal records out of in-flight group-commit
+    /// convoys — extra fsyncs that shrink exactly the batches group
+    /// commit exists to build.
     pub fn flush(&self) -> Result<()> {
         if !matches!(self.policy, SyncPolicy::OsOnly) {
             return Ok(());

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscache::{AutomatonId, Cache, IdemToken, NotificationSink, Response, TokenOutcome};
+use pscache::{AutomatonId, Cache, IdemToken, NotificationSink, Response, TokenOutcome, WriteRun};
 
 use crate::message::{CacheReply, HealthReport, Request, ServerMessage, ServerStats, WireRow};
 
@@ -25,8 +25,9 @@ pub(crate) struct StatsInner {
     /// Times a connection's read interest was parked because its
     /// decoded-request queue hit the pipeline cap.
     pub(crate) queue_stalls: AtomicU64,
-    /// Workers currently executing a request (incremented around
-    /// [`handle_request`] on both transports).
+    /// Workers currently occupied by a connection: the blocking server
+    /// counts around [`handle_request`], the reactor around a worker's
+    /// whole claim on a connection — commit wait included.
     pub(crate) worker_busy: AtomicU64,
     /// Requests rejected by admission control (reactor transport only;
     /// the blocking transport enforces no client policy and serves as
@@ -175,16 +176,53 @@ pub(crate) fn req_kind(request: &Request) -> pscache::ReqKind {
 }
 
 /// Execute one decoded request against the cache on behalf of one
-/// connection. `registered` is that connection's automaton ownership
-/// set and `make_sink` builds the sink a newly registered automaton
-/// delivers its notifications into — the only two transport-specific
-/// inputs, which is what lets the blocking server and the reactor share
-/// every request semantic (including flush-before-ack durability and
+/// connection: [`stage_request`] then [`commit_run`], a write run of
+/// one. The blocking server answers every request this way; the reactor
+/// calls the two halves itself so consecutive inserts share one commit.
+pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
+    ctx: &RequestCtx<'_>,
+    registered: &mut HashSet<AutomatonId>,
+    make_sink: impl FnOnce() -> S,
+    request: Request,
+    token: Option<IdemToken>,
+) -> CacheReply {
+    let mut run = ctx.cache.write_run();
+    let reply = stage_request(ctx, &mut run, registered, make_sink, request, token);
+    commit_run(ctx.cache, &mut run).unwrap_or(reply)
+}
+
+/// Flush-before-ack, once per run: wait for everything `run` staged to
+/// be durable (under `SyncPolicy::OsOnly` the explicit flush is what
+/// upgrades the writes to durable) before any reply that moved its
+/// `awaiting` count reaches the client. `None` when they may; on failure,
+/// the reply that replaces each of them. A run that awaits nothing
+/// costs nothing.
+pub(crate) fn commit_run(cache: &Cache, run: &mut WriteRun<'_>) -> Option<CacheReply> {
+    if run.awaiting() == 0 {
+        return None;
+    }
+    run.commit()
+        .and_then(|()| cache.flush_wal())
+        .err()
+        .map(error_to_reply)
+}
+
+/// Execute one decoded request up to, but not including, its durability
+/// wait. `registered` is the connection's automaton ownership set and
+/// `make_sink` builds the sink a newly registered automaton delivers
+/// its notifications into — the only two transport-specific inputs,
+/// which is what lets the blocking server and the reactor share every
+/// request semantic (including flush-before-ack durability and
 /// idempotency-token dedup). `token` is the client's exactly-once stamp
 /// on mutating requests: a token whose outcome the cache already
 /// remembers short-circuits to that outcome instead of re-executing.
-pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
+///
+/// Typed inserts are staged into `run`; the reply is final but, if the
+/// call raised `run.awaiting()`, must not be sent before
+/// [`commit_run`] succeeds. Every other request completes here.
+pub(crate) fn stage_request<S: NotificationSink + Send + 'static>(
     ctx: &RequestCtx<'_>,
+    run: &mut WriteRun<'_>,
     registered: &mut HashSet<AutomatonId>,
     make_sink: impl FnOnce() -> S,
     request: Request,
@@ -194,9 +232,12 @@ pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
     // must return the original outcome, not apply again (and not fail
     // with DuplicateKey). The lookup-then-execute window is safe because
     // a client never has two in-flight requests with the same token.
+    // The original may still be waiting for its own flush, so a hit
+    // makes the run await it: a retry is never acknowledged before the
+    // record it vouches for is durable.
     ctx.cache.obs().count_request(req_kind(&request));
     if let Some(t) = token {
-        if let Some(outcome) = ctx.cache.token_lookup(t) {
+        if let Some(outcome) = run.token_lookup(t) {
             return outcome_to_reply(outcome);
         }
     }
@@ -216,9 +257,10 @@ pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
             .execute_with_token(&command, token)
             .and_then(|response| {
                 // Flush-before-ack for the SQL surface too: an insert or
-                // create arriving as text must be as durable at ack time as
-                // one arriving through the typed fast path below. Selects
-                // skip the flush — they wrote nothing.
+                // create arriving as text (a write run of one inside the
+                // cache) must be as durable at ack time as one arriving
+                // through the typed fast path below. Selects skip the
+                // flush — they wrote nothing.
                 if !matches!(response, Response::Rows(_)) {
                     ctx.cache.flush_wal()?;
                 }
@@ -231,39 +273,18 @@ pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
             table,
             values,
             upsert,
-        } => {
-            let result = ctx.cache.insert_with_token(&table, values, upsert, token);
-            match result.and_then(|outcome| {
-                // Flush-before-ack: under every sync policy the reply a
-                // client sees for a durable-table insert implies the
-                // record is on disk. Under the default group-commit
-                // policy the insert already waited for durability and
-                // this is a no-op; under `SyncPolicy::OsOnly` it is the
-                // flush that upgrades the write to durable.
-                ctx.cache.flush_wal()?;
-                Ok(outcome)
-            }) {
-                Ok((replaced, tstamp)) => CacheReply::Inserted { replaced, tstamp },
-                Err(e) => error_to_reply(e),
-            }
-        }
+        } => match run.insert(&table, values, upsert, token) {
+            Ok((replaced, tstamp)) => CacheReply::Inserted { replaced, tstamp },
+            Err(e) => error_to_reply(e),
+        },
         Request::InsertBatch {
             table,
             rows,
             upsert,
-        } => {
-            let result = ctx
-                .cache
-                .insert_batch_with_token(&table, rows, upsert, token);
-            match result.and_then(|tstamps| {
-                // Flush-before-ack, as for Request::Insert above.
-                ctx.cache.flush_wal()?;
-                Ok(tstamps)
-            }) {
-                Ok(tstamps) => CacheReply::InsertedBatch { tstamps },
-                Err(e) => error_to_reply(e),
-            }
-        }
+        } => match run.insert_batch(&table, rows, upsert, token) {
+            Ok(tstamps) => CacheReply::InsertedBatch { tstamps },
+            Err(e) => error_to_reply(e),
+        },
         Request::RegisterAutomaton { source } => {
             match ctx
                 .cache

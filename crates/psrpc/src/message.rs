@@ -102,7 +102,7 @@ pub struct HealthReport {
     pub rpc_in_flight: u64,
     /// Read-interest parkings due to the pipeline cap.
     pub rpc_queue_stalls: u64,
-    /// Workers currently executing a request.
+    /// Workers currently occupied by a request or a run's commit wait.
     pub rpc_worker_busy: u64,
     /// Size of the request-execution worker pool.
     pub rpc_workers: u64,
@@ -122,9 +122,13 @@ impl HealthReport {
     /// blocking-transport server, whose per-connection threads cannot
     /// saturate a shared pool).
     ///
-    /// The number to alert and size on: sustained values near `1.0`
-    /// mean every worker is executing a request and newly decoded
-    /// requests are queueing (`rpc_in_flight` grows) — add workers
+    /// A reactor worker counts as busy for as long as it holds a
+    /// connection — executing, and also blocked in the durability wait
+    /// that commits a run of pipelined inserts: it is off-CPU then, but
+    /// it can serve nobody else. The number to alert and size on:
+    /// sustained values near `1.0` mean every worker is occupied and
+    /// newly decoded requests are queueing (`rpc_in_flight` grows) —
+    /// add workers
     /// (`CacheBuilder::rpc_workers`) or partitions. Sustained values
     /// near `0.0` with high throughput mean the pool is oversized for
     /// the load. See `docs/architecture.md` ("Sizing the worker pool")
@@ -198,7 +202,8 @@ pub struct ServerStats {
     /// growth means clients pipeline deeper than the server's
     /// configured window.
     pub rpc_queue_stalls: u64,
-    /// Workers currently executing a request. Pinned at the pool size
+    /// Workers currently occupied by a request or a run's commit wait
+    /// (see [`HealthReport::worker_saturation`]). Pinned at the pool size
     /// while every worker is busy — the observable signature of the
     /// fixed-size `rpc_workers` pool saturating.
     pub rpc_worker_busy: u64,

@@ -44,12 +44,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink};
+use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink, WriteRun};
 
 use crate::error::{Error, Result};
 use crate::exec::{
-    handle_request, health_report, notification_message, req_kind, teardown_registered, RequestCtx,
-    StatsInner,
+    commit_run, health_report, notification_message, req_kind, stage_request, teardown_registered,
+    RequestCtx, StatsInner,
 };
 use crate::framing::{fragment, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
 use crate::message::{CacheReply, ClientMessage, Request, ServerMessage, ServerStats};
@@ -58,6 +58,15 @@ use crate::poll::{self, PollFd, Waker, POLL_IN, POLL_OUT};
 /// Requests one worker executes for a connection before re-queuing it,
 /// so one deeply pipelined client cannot starve the others.
 const WORKER_BUDGET: usize = 32;
+
+/// Replies one commit run holds before it settles: the most records a
+/// single connection puts behind one durability wait, and the bound on
+/// how many later requests an insert's reply can sit behind. Sixteen
+/// already turns a pipelined writer's cost from one `fsync` per record
+/// into one per sixteen; it is not `WORKER_BUDGET` because psbench's
+/// closed loop cannot yet measure past ≈ 46k ticks/s (ROADMAP item
+/// 1(a)) and runs of 32 go faster than that on a fast day.
+const RUN_LIMIT: usize = 16;
 
 /// How long [`ReactorServer::shutdown`] lets connections drain before
 /// force-closing the stragglers (mirrors the blocking server's grace).
@@ -521,38 +530,169 @@ fn worker_loop(cache: &Cache, stats: &StatsInner, job_rx: &Receiver<Job>, job_tx
     while let Ok(job) = job_rx.recv() {
         match job {
             Job::Stop => break,
-            Job::Conn(conn) => run_conn(&ctx, job_tx, &conn),
+            Job::Conn(conn) => {
+                // Busy for the whole claim, commit waits included: a
+                // worker blocked on the log serves nobody else.
+                stats.worker_busy.fetch_add(1, Ordering::Release);
+                run_conn(&ctx, job_tx, &conn);
+                stats.worker_busy.fetch_sub(1, Ordering::Release);
+            }
         }
     }
 }
 
-/// Drain one connection's inbox (up to [`WORKER_BUDGET`] requests),
-/// append each reply to its outbox, and ring the reactor. Runs with the
-/// connection's `executing` flag held; clears it on every return path
-/// except the fairness re-queue.
+/// A request the worker has executed whose reply waits, in inbox order,
+/// for the settle point that releases it.
+struct Held {
+    seq: u64,
+    reply: CacheReply,
+    /// The request's outcome waits on the run's commit: its reply
+    /// stands only if the commit succeeds.
+    awaits_commit: bool,
+    /// Client-stamped wire trace id (0 when unstamped).
+    trace_id: u64,
+    /// Queue time, kind, table and claim instant — the open execute
+    /// stage of the request's latency breakdown (`None` when metrics
+    /// are disabled).
+    span: Option<(u64, pscache::ReqKind, Option<String>, Instant)>,
+}
+
+/// A settle point: commit `run` — one durability wait for everything it
+/// staged — then hand `held` to the client in inbox order under one
+/// outbox lock acquisition and one doorbell ring, closing each
+/// request's execute stage (claim to reply appended, commit wait
+/// included) and returning its `in_flight` slot. No held reply reaches
+/// the outbox before its record is durable; if the commit fails, the
+/// replies that were waiting on it become the log's error and the rest
+/// keep their own. With `deliver` false (the connection is defunct) the
+/// run still commits, so its staged rows become visible, and the
+/// replies are discarded.
+fn settle(
+    ctx: &RequestCtx<'_>,
+    conn: &ConnShared,
+    run: &mut WriteRun<'_>,
+    held: &mut Vec<Held>,
+    deliver: bool,
+) {
+    let failure = commit_run(ctx.cache, run);
+    if held.is_empty() {
+        return;
+    }
+    let settled = held.len() as u64;
+    if deliver {
+        // Framed outside the lock; the whole run lands in the outbox
+        // as one contiguous append.
+        let mut wire = Vec::new();
+        let mut spans = Vec::new();
+        for h in held.drain(..) {
+            if let Some(span) = h.span {
+                spans.push((h.trace_id, span));
+            }
+            let reply = match &failure {
+                Some(failure) if h.awaits_commit => failure.clone(),
+                _ => h.reply,
+            };
+            for frag in fragment(&ServerMessage::Reply { seq: h.seq, reply }.encode()) {
+                wire.extend_from_slice(&frag);
+            }
+        }
+        conn.out.lock().extend_from_slice(&wire);
+        if !spans.is_empty() {
+            let appended = Instant::now();
+            let mut pending = conn.pending_ops.lock();
+            for (trace_id, (queue_ns, kind, table, claimed)) in spans {
+                if pending.len() >= PENDING_OPS_CAP {
+                    pending.pop_front();
+                }
+                pending.push_back(PendingOp {
+                    trace_id,
+                    kind,
+                    table,
+                    queue_ns,
+                    exec_ns: appended.saturating_duration_since(claimed).as_nanos() as u64,
+                    appended,
+                });
+            }
+        }
+    }
+    held.clear();
+    ctx.stats.in_flight.fetch_sub(settled, Ordering::Release);
+    conn.waker.wake();
+}
+
+/// The defunct half of [`run_conn`]: discard the inbox and, once per
+/// connection, unregister its automata and let the reactor drop the
+/// socket. Clears the `executing` flag.
+fn tear_down(ctx: &RequestCtx<'_>, conn: &ConnShared) {
+    let mut exec = conn.exec.lock();
+    let dropped = exec.inbox.len() as u64;
+    exec.inbox.clear();
+    if dropped > 0 {
+        ctx.stats.in_flight.fetch_sub(dropped, Ordering::Release);
+    }
+    if exec.torn_down {
+        exec.executing = false;
+        return;
+    }
+    exec.torn_down = true;
+    drop(exec);
+    {
+        let mut registered = conn.registered.lock();
+        teardown_registered(ctx, &mut registered);
+    }
+    ctx.stats.active.fetch_sub(1, Ordering::Release);
+    conn.exec.lock().executing = false;
+    conn.waker.wake();
+}
+
+/// Drain one connection's inbox (up to [`WORKER_BUDGET`] requests) and
+/// ring the reactor. Runs with the connection's `executing` flag held;
+/// clears it on every return path except the fairness re-queue.
+///
+/// The worker executes into one [`WriteRun`]: consecutive typed inserts
+/// are *staged* and their replies held, and the run is committed — one
+/// durability wait — at the next settle point: (a) the inbox is empty,
+/// (b) the next request is anything but a typed insert (a barrier:
+/// it must observe, and be ordered after, everything before it), or
+/// (c) the run holds [`RUN_LIMIT`] replies or the budget is spent. A
+/// reply that waits on nothing (in-memory
+/// table, refused row) is released at once when nothing is held and
+/// otherwise queues behind what is, so replies leave in inbox order. A
+/// client with one request in flight always meets (a) after that
+/// request: stage, wait, reply — a run of one; a pipelining writer gets
+/// up to `RUN_LIMIT` records per flush.
 fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) {
-    for _ in 0..WORKER_BUDGET {
+    let mut run = ctx.cache.write_run();
+    let mut held: Vec<Held> = Vec::new();
+    let mut budget = WORKER_BUDGET;
+    loop {
         let (msg, received) = {
             let mut exec = conn.exec.lock();
             if exec.defunct {
-                let dropped = exec.inbox.len() as u64;
-                exec.inbox.clear();
-                if dropped > 0 {
-                    ctx.stats.in_flight.fetch_sub(dropped, Ordering::Release);
-                }
-                if exec.torn_down {
-                    exec.executing = false;
-                    return;
-                }
-                exec.torn_down = true;
                 drop(exec);
-                {
-                    let mut registered = conn.registered.lock();
-                    teardown_registered(ctx, &mut registered);
-                }
-                ctx.stats.active.fetch_sub(1, Ordering::Release);
-                conn.exec.lock().executing = false;
-                conn.waker.wake();
+                settle(ctx, conn, &mut run, &mut held, false);
+                tear_down(ctx, conn);
+                return;
+            }
+            let joins_run = budget > 0
+                && held.len() < RUN_LIMIT
+                && exec.inbox.front().is_some_and(|(m, _)| {
+                    matches!(
+                        m.request,
+                        Request::Insert { .. } | Request::InsertBatch { .. }
+                    )
+                });
+            if !held.is_empty() && !joins_run {
+                drop(exec);
+                settle(ctx, conn, &mut run, &mut held, true);
+                continue;
+            }
+            if budget == 0 {
+                // Budget spent with work possibly left: go to the back
+                // of the queue (keeping `executing` set, so the reactor
+                // won't double-enqueue).
+                drop(exec);
+                let _ = job_tx.send(Job::Conn(Arc::clone(conn)));
                 return;
             }
             match exec.inbox.pop_front() {
@@ -569,6 +709,7 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
                 }
             }
         };
+        budget -= 1;
         let sink = || ReactorRoute {
             shared: Arc::clone(conn),
         };
@@ -593,40 +734,22 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
                 Instant::now(),
             )
         });
-        ctx.stats.worker_busy.fetch_add(1, Ordering::Release);
+        let awaiting = run.awaiting();
         let reply = {
             let mut registered = conn.registered.lock();
-            handle_request(ctx, &mut registered, sink, msg.request, token)
+            stage_request(ctx, &mut run, &mut registered, sink, msg.request, token)
         };
-        ctx.stats.worker_busy.fetch_sub(1, Ordering::Release);
-        append_message(
-            &conn.out,
-            &ServerMessage::Reply {
-                seq: msg.seq,
-                reply,
-            }
-            .encode(),
-        );
-        if let Some((queue_ns, kind, table, exec_started)) = span {
-            let mut pending = conn.pending_ops.lock();
-            if pending.len() >= PENDING_OPS_CAP {
-                pending.pop_front();
-            }
-            pending.push_back(PendingOp {
-                trace_id: msg.trace.unwrap_or(0),
-                kind,
-                table,
-                queue_ns,
-                exec_ns: exec_started.elapsed().as_nanos() as u64,
-                appended: Instant::now(),
-            });
+        held.push(Held {
+            seq: msg.seq,
+            reply,
+            awaits_commit: run.awaiting() != awaiting,
+            trace_id: msg.trace.unwrap_or(0),
+            span,
+        });
+        if run.awaiting() == 0 {
+            settle(ctx, conn, &mut run, &mut held, true);
         }
-        ctx.stats.in_flight.fetch_sub(1, Ordering::Release);
-        conn.waker.wake();
     }
-    // Budget spent with work possibly left: go to the back of the queue
-    // (keeping `executing` set, so the reactor won't double-enqueue).
-    let _ = job_tx.send(Job::Conn(Arc::clone(conn)));
 }
 
 /// The connection is unusable (write failure, slow-consumer eviction):

@@ -66,7 +66,8 @@ run_stage() {
 FLOORS='
 bench_query     BENCH_query.json     window_speedup         10.0  100k-row 1% window speedup over a full scan
 bench_fanout    BENCH_fanout.json    speedup                10.0  indexed dispatch speedup at 1000 automata / 1% selectivity
-bench_wal       BENCH_wal.json       group_commit_speedup   5.0   group-commit speedup at 16 concurrent inserters
+bench_wal       BENCH_wal.json       group_commit_mean_group_size 4.0   records per fsync at 16 concurrent inserters
+bench_wal       BENCH_wal.json       pipelined_mean_group_size 4.0   records per fsync for one connection with 64 inserts in flight
 bench_repl      BENCH_repl.json      converged              1     replication stream drained to zero staleness
 bench_repl      BENCH_repl.json      follower_read_ratio    0.5   follower/primary read-throughput ratio
 bench_rpc       BENCH_rpc.json       rpc_speedup_16         10.0  pipelined/serial-baseline read speedup at 16 connections

@@ -10,6 +10,12 @@
 //! error message, a reordered reply, a lost or duplicated notification
 //! — fails the property.
 //!
+//! Both caches are durable (group commit), so `P` writes a log record
+//! per insert and the reactor's commit runs — several pipelined inserts
+//! staged, one durability wait, their replies released together — are
+//! held to the oracle's one-request-at-a-time replies; `T` is an
+//! in-memory stream whose replies never wait.
+//!
 //! Determinism notes: both caches run on a manual clock (identical
 //! timestamps), pipelining is only allowed between consecutive requests
 //! of the *same* client (per-connection ordering is guaranteed; cross-
@@ -19,6 +25,7 @@
 //! still deliver every one of them — ahead of the `Unregistered` reply.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -31,6 +38,8 @@ use psrpc::server::RpcServer;
 use unipubsub::prelude::*;
 
 const CLIENTS: usize = 2;
+/// Requests in one pipelined burst of (mostly) durable inserts.
+const BURST: i64 = 10;
 const AUTOMATON: &str = "subscribe t to T; behavior { send(t.v); }";
 
 /// One server under test, behind a common interface.
@@ -236,7 +245,7 @@ impl Driver {
                     let _ = self.sync(client, Request::UnregisterAutomaton { id });
                 }
             }
-            _ => {
+            8 => {
                 self.issue(
                     client,
                     Request::InsertBatch {
@@ -247,6 +256,32 @@ impl Driver {
                 );
                 for _ in 0..3 {
                     self.account_row();
+                }
+            }
+            _ => {
+                // A pipelined burst of durable inserts, deep enough to
+                // share commit runs on the reactor: plain inserts (a
+                // repeated key is refused, within the burst or against
+                // an earlier one), an upsert and a stream insert mixed
+                // in, so held and immediate replies interleave.
+                for i in 0..BURST {
+                    let key = Scalar::from(format!("k{}", (v + i).rem_euclid(12)));
+                    let request = match i % 5 {
+                        3 => {
+                            self.account_row();
+                            Request::Insert {
+                                table: "T".into(),
+                                values: vec![Scalar::Int(v + i)],
+                                upsert: false,
+                            }
+                        }
+                        kind => Request::Insert {
+                            table: "P".into(),
+                            values: vec![key, Scalar::Int(v + i)],
+                            upsert: kind == 4,
+                        },
+                    };
+                    self.issue(client, request);
                 }
             }
         }
@@ -274,7 +309,18 @@ impl Driver {
 /// Run one script against one server flavour; returns the comparable
 /// observation: replies in issue order + notification streams.
 fn run_script(kind: &str, ops: &[(usize, usize, i64)]) -> (Vec<Vec<u8>>, Vec<NoteMap>) {
-    let cache = CacheBuilder::new().manual_clock().build();
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pscache-rpc-equivalence-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = CacheBuilder::new()
+        .manual_clock()
+        .durability(&dir)
+        .open()
+        .unwrap();
     cache.execute("create table T (v integer)").unwrap();
     cache
         .execute("create persistenttable P (k varchar(8) primary key, v integer)")
@@ -286,6 +332,7 @@ fn run_script(kind: &str, ops: &[(usize, usize, i64)]) -> (Vec<Vec<u8>>, Vec<Not
     }
     let observation = driver.finish();
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
     observation
 }
 
@@ -297,7 +344,7 @@ proptest! {
     /// interleaved, pipelined script.
     #[test]
     fn reactor_is_byte_equivalent_to_the_blocking_server(
-        ops in proptest::collection::vec((0usize..9, 0usize..CLIENTS, -50i64..50), 1..25),
+        ops in proptest::collection::vec((0usize..10, 0usize..CLIENTS, -50i64..50), 1..25),
     ) {
         let (oracle_replies, oracle_notes) = run_script("blocking", &ops);
         let (reactor_replies, reactor_notes) = run_script("reactor", &ops);
@@ -319,6 +366,7 @@ fn a_deep_pipelined_script_is_equivalent_on_both_servers() {
     for i in 0..64 {
         ops.push((0, 0, i)); // 64 pipelined inserts from client 0
     }
+    ops.push((9, 0, 7)); // a burst of durable inserts behind them
     ops.push((5, 1, 0)); // an error reply
     ops.push((8, 1, 100)); // a batch
     ops.push((2, 0, 0)); // full scan
