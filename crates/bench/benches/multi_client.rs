@@ -1,8 +1,8 @@
 //! Multi-client throughput of the RPC server.
 //!
 //! The paper's prototype serves every application from one accept loop;
-//! the rewritten `psrpc::server` gives each connection its own worker so
-//! concurrent clients scale with cores. This benchmark measures aggregate
+//! `psrpc::reactor::ReactorServer` executes different connections'
+//! requests on a worker pool so concurrent clients scale with cores. This benchmark measures aggregate
 //! insert throughput (tuples/sec over TCP loopback) as the client count
 //! grows, in two shapes:
 //!
@@ -24,7 +24,7 @@ use std::time::Instant;
 use gapl::event::Scalar;
 use pscache::CacheBuilder;
 use psrpc::client::CacheClient;
-use psrpc::server::RpcServer;
+use psrpc::reactor::ReactorServer;
 
 const INSERTS_PER_CLIENT: usize = 4000;
 
@@ -41,7 +41,7 @@ fn run_case(clients: usize, shared: bool) -> f64 {
                 .expect("create table");
         }
     }
-    let server = RpcServer::bind(cache, "127.0.0.1:0").expect("bind");
+    let server = ReactorServer::bind(cache, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
     let start = Instant::now();

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use gapl::event::Scalar;
 use pscache::CacheBuilder;
 use psrpc::client::CacheClient;
-use psrpc::server::RpcServer;
+use psrpc::reactor::ReactorServer;
 
 /// Which direction(s) of RPC traffic the stress run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +135,7 @@ pub fn run_point(schema: StressSchema, mode: StressMode, duration: Duration) -> 
     cache
         .execute(&schema.create_table_sql())
         .expect("creating the Test table succeeds");
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").expect("bind an ephemeral port");
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").expect("bind an ephemeral port");
     let client = CacheClient::connect(server.local_addr()).expect("connect to the server");
     client
         .register_automaton(&stress_automaton_for(mode, &schema))

@@ -207,9 +207,10 @@ impl TokenTable {
 /// fully permissive — every limit disabled — so protection is opt-in
 /// via [`CacheBuilder::client_policy`](crate::CacheBuilder::client_policy).
 ///
-/// The blocking `RpcServer` deliberately does **not** enforce the
-/// policy: it is the semantic oracle of the differential protocol
-/// suite, and admission control is a transport concern of the reactor.
+/// The blocking request loop (`psrpc::server::serve_connection`)
+/// deliberately does **not** enforce the policy: it is the semantic
+/// oracle of the differential protocol suite, and admission control is
+/// a transport concern of the reactor.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClientPolicy {
     /// Sustained requests per second one connection may issue; 0

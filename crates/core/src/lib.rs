@@ -60,7 +60,7 @@ pub use pscache::{
     Error, Notification, Predicate, Query, Response, Result, ResultSet, TableKind,
     DEFAULT_AUTOMATON_WORKERS,
 };
-pub use psrpc::server::ServerStats;
+pub use psrpc::ServerStats;
 
 pub mod prelude {
     //! Everything a typical application needs, in one import.
@@ -70,8 +70,7 @@ pub mod prelude {
         Aggregate, AutomatonId, AutomatonTelemetry, Cache, CacheBuilder, Comparison, DispatchStats,
         Notification, Predicate, Query, Response, ResultSet, TableKind,
     };
-    pub use psrpc::server::ServerStats;
-    pub use psrpc::{CacheClient, RpcServer};
+    pub use psrpc::{CacheClient, ReactorServer, ServerStats};
 }
 
 pub mod continuous;

@@ -352,8 +352,7 @@ fn wants_token(request: &Request) -> bool {
 }
 
 impl CacheClient {
-    /// Connect to an RPC server ([`crate::server::RpcServer`] or
-    /// [`crate::reactor::ReactorServer`] — same wire protocol) over TCP.
+    /// Connect to a [`crate::reactor::ReactorServer`] over TCP.
     ///
     /// # Errors
     ///
@@ -1061,9 +1060,17 @@ mod tests {
     }
 
     #[test]
+    fn inproc_connection_counts_itself_while_connected() {
+        let client = CacheClient::connect_inproc(CacheBuilder::new().build());
+        let stats = client.server_stats().unwrap();
+        assert_eq!(stats.connections_accepted, 1);
+        assert_eq!(stats.connections_active, 1);
+    }
+
+    #[test]
     fn tcp_end_to_end_round_trip() {
         let cache = CacheBuilder::new().build();
-        let server = crate::server::RpcServer::bind(cache, "127.0.0.1:0").unwrap();
+        let server = crate::reactor::ReactorServer::bind(cache, "127.0.0.1:0").unwrap();
         let client = CacheClient::connect(server.local_addr()).unwrap();
         client.execute("create table T (v integer)").unwrap();
         for i in 0..10 {

@@ -1,5 +1,5 @@
-//! Request execution shared by both transports: the blocking
-//! [`crate::server::RpcServer`] and the event-driven
+//! Request execution shared by both request loops: the blocking
+//! [`crate::server::serve_connection`] and the event-driven
 //! [`crate::reactor::ReactorServer`] decode a request their own way and
 //! then run it here, so the two serve one set of request semantics
 //! (flush-before-ack durability, idempotency-token dedup, typed
@@ -18,20 +18,20 @@ pub(crate) struct StatsInner {
     pub(crate) active: AtomicU64,
     pub(crate) requests: AtomicU64,
     pub(crate) notifications: AtomicU64,
-    /// Requests decoded but not yet answered (reactor transport only;
-    /// the blocking transport executes synchronously so its depth is
-    /// bounded by its thread count).
+    /// Requests decoded but not yet answered (the reactor counts them;
+    /// the blocking loop executes each request as it decodes it, so it
+    /// never has one waiting).
     pub(crate) in_flight: AtomicU64,
     /// Times a connection's read interest was parked because its
     /// decoded-request queue hit the pipeline cap.
     pub(crate) queue_stalls: AtomicU64,
-    /// Workers currently occupied by a connection: the blocking server
+    /// Workers currently occupied by a connection: the blocking loop
     /// counts around [`handle_request`], the reactor around a worker's
     /// whole claim on a connection — commit wait included.
     pub(crate) worker_busy: AtomicU64,
-    /// Requests rejected by admission control (reactor transport only;
-    /// the blocking transport enforces no client policy and serves as
-    /// the differential oracle).
+    /// Requests rejected by admission control (the reactor enforces the
+    /// client policy; the blocking loop, the differential oracle,
+    /// enforces none).
     pub(crate) requests_throttled: AtomicU64,
 }
 
@@ -118,7 +118,7 @@ pub(crate) fn notification_message(note: pscache::Notification) -> ServerMessage
 
 /// The transport-independent surroundings of one request: the cache it
 /// executes against and the counters it reports into. The blocking
-/// server builds one per connection worker; the reactor builds one per
+/// loop builds one per connection; the reactor builds one per
 /// worker thread and shares it across the connections that worker drains.
 pub(crate) struct RequestCtx<'a> {
     pub(crate) cache: &'a Cache,
@@ -177,7 +177,7 @@ pub(crate) fn req_kind(request: &Request) -> pscache::ReqKind {
 
 /// Execute one decoded request against the cache on behalf of one
 /// connection: [`stage_request`] then [`commit_run`], a write run of
-/// one. The blocking server answers every request this way; the reactor
+/// one. The blocking loop answers every request this way; the reactor
 /// calls the two halves itself so consecutive inserts share one commit.
 pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
     ctx: &RequestCtx<'_>,
@@ -211,7 +211,7 @@ pub(crate) fn commit_run(cache: &Cache, run: &mut WriteRun<'_>) -> Option<CacheR
 /// wait. `registered` is the connection's automaton ownership set and
 /// `make_sink` builds the sink a newly registered automaton delivers
 /// its notifications into — the only two transport-specific inputs,
-/// which is what lets the blocking server and the reactor share every
+/// which is what lets the blocking loop and the reactor share every
 /// request semantic (including flush-before-ack durability and
 /// idempotency-token dedup). `token` is the client's exactly-once stamp
 /// on mutating requests: a token whose outcome the cache already

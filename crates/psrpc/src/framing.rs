@@ -70,61 +70,27 @@ pub fn write_message<W: Write>(writer: &mut W, message: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// The outcome of one idle-aware read attempt; see
-/// [`read_message_or_idle`].
-#[derive(Debug)]
-pub enum ReadEvent {
-    /// A complete logical message.
-    Message(Vec<u8>),
-    /// The transport's read timeout elapsed **between** messages —
-    /// nothing was consumed, nothing is torn, the caller may poll a
-    /// shutdown flag and try again. Only occurs when the underlying
-    /// stream has a read timeout configured.
-    Idle,
-    /// The peer closed the stream cleanly at a message boundary.
-    Closed,
-}
-
 /// Read one full logical message from `reader`, reassembling fragments.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream at a message boundary.
+/// Interrupts and read timeouts (`WouldBlock`, `TimedOut`) are waited
+/// through, before a message as well as inside one: a slow peer never
+/// tears a message.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Io`] on transport errors and [`Error::Protocol`] on a
 /// stream that ends mid-message or carries an oversized fragment length.
 pub fn read_message<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>> {
-    loop {
-        match read_message_or_idle(reader)? {
-            ReadEvent::Message(m) => return Ok(Some(m)),
-            // Without a read timeout Idle never occurs; with one, the
-            // blocking API simply waits through it.
-            ReadEvent::Idle => continue,
-            ReadEvent::Closed => return Ok(None),
-        }
-    }
-}
-
-/// Like [`read_message`], but a read timeout that fires **before the
-/// first byte of a message** surfaces as [`ReadEvent::Idle`] instead of
-/// blocking forever — the hook that lets a draining server finish the
-/// request in flight, notice the drain flag between requests, and exit
-/// without tearing a mid-message stream. A timeout that fires
-/// mid-message is retried internally (the peer is mid-send, not idle).
-///
-/// # Errors
-///
-/// See [`read_message`].
-pub fn read_message_or_idle<R: Read>(reader: &mut R) -> Result<ReadEvent> {
     let mut message = Vec::new();
     let mut first = true;
     loop {
         let mut header = [0u8; FRAGMENT_HEADER];
-        match read_exact_or_eof(reader, &mut header, first)? {
-            ReadOutcome::Eof if first && message.is_empty() => return Ok(ReadEvent::Closed),
-            ReadOutcome::Eof => return Err(Error::protocol("stream ended mid-message")),
-            ReadOutcome::Idle => return Ok(ReadEvent::Idle),
-            ReadOutcome::Read => {}
+        match read_exact_or_eof(reader, &mut header)? {
+            FRAGMENT_HEADER => {}
+            0 if first => return Ok(None),
+            0 => return Err(Error::protocol("stream ended mid-message")),
+            _ => return Err(Error::protocol("stream ended mid-fragment header")),
         }
         first = false;
         let len = u16::from_le_bytes([header[0], header[1]]) as usize;
@@ -136,73 +102,35 @@ pub fn read_message_or_idle<R: Read>(reader: &mut R) -> Result<ReadEvent> {
         }
         let start = message.len();
         message.resize(start + len, 0);
-        read_full_retrying(reader, &mut message[start..])?;
+        if read_exact_or_eof(reader, &mut message[start..])? < len {
+            return Err(Error::protocol("stream ended mid-fragment"));
+        }
         if last {
-            return Ok(ReadEvent::Message(message));
+            return Ok(Some(message));
         }
     }
 }
 
-enum ReadOutcome {
-    Read,
-    Eof,
-    /// The read timed out before the first byte (only when
-    /// `allow_idle`).
-    Idle,
-}
-
-fn is_timeout(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn read_exact_or_eof<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-    allow_idle: bool,
-) -> Result<ReadOutcome> {
+/// Fill `buf` unless the stream ends first, waiting through interrupts
+/// and read timeouts; returns how many bytes were read (`buf.len()`
+/// unless the stream ended).
+fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(ReadOutcome::Eof);
-                }
-                return Err(Error::protocol("stream ended mid-fragment header"));
-            }
+            Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // A timeout with nothing read yet is a clean idle gap (when
-            // the caller can use it); mid-header it means the peer is
-            // mid-send, so keep reading.
-            Err(e) if is_timeout(e.kind()) => {
-                if filled == 0 && allow_idle {
-                    return Ok(ReadOutcome::Idle);
-                }
-            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted
+                        | std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                ) => {}
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(ReadOutcome::Read)
-}
-
-/// `read_exact` that retries through timeouts: once a message has
-/// started, a read timeout never tears it.
-fn read_full_retrying<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(Error::protocol("stream ended mid-fragment")),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted || is_timeout(e.kind()) => {
-                continue
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
+    Ok(filled)
 }
 
 /// Number of fragments a message of `len` bytes occupies on the wire; used
@@ -295,6 +223,63 @@ mod tests {
         frag_bytes[2] = 0; // force "not last"
         let mut cursor = Cursor::new(frag_bytes);
         assert!(read_message(&mut cursor).is_err());
+    }
+
+    /// A reader that plays a script: each step is either a chunk of
+    /// bytes (handed out across as many `read` calls as the caller's
+    /// buffers need) or one transient error.
+    struct Scripted(std::collections::VecDeque<std::io::Result<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transient_errors_before_and_inside_a_message_are_waited_through() {
+        use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let msg: Vec<u8> = (0..1500u32).map(|i| (i % 253) as u8).collect();
+        let mut wire = Vec::new();
+        write_message(&mut wire, &msg).unwrap();
+        let second = FRAGMENT_SIZE;
+        for kind in [WouldBlock, TimedOut, Interrupted] {
+            let err = || Err(std::io::Error::from(kind));
+            let script = vec![
+                // Before the first header byte.
+                err(),
+                err(),
+                // Inside the first fragment's header.
+                Ok(wire[..2].to_vec()),
+                err(),
+                // Inside the first fragment's payload.
+                Ok(wire[2..500].to_vec()),
+                err(),
+                // Inside the second fragment's header.
+                Ok(wire[500..second + 1].to_vec()),
+                err(),
+                // Inside the second fragment's payload.
+                Ok(wire[second + 1..second + 100].to_vec()),
+                err(),
+                Ok(wire[second + 100..].to_vec()),
+                // Between messages, before a clean end of stream.
+                err(),
+            ];
+            let mut reader = Scripted(script.into());
+            assert_eq!(read_message(&mut reader).unwrap().unwrap(), msg, "{kind:?}");
+            assert!(read_message(&mut reader).unwrap().is_none(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //! * a [`transport`] abstraction with a TCP implementation (separate
 //!   application processes, as in the paper) and an in-process loopback
 //!   (deterministic benchmarks),
-//! * a multi-client [`server::RpcServer`] that exposes a
-//!   [`pscache::Cache`] — a worker and a writer thread per connection;
-//!   an automaton's notifications go from the pool worker that ran
-//!   `send()` straight to its connection's writer,
-//! * an event-driven [`reactor::ReactorServer`] serving the same wire
-//!   protocol from one [`poll`]-based reactor thread plus a small worker
-//!   pool — thousands of connections, bounded threads — with the
-//!   blocking server retained as its differential-testing oracle, and
+//! * the RPC server, [`reactor::ReactorServer`], which exposes a
+//!   [`pscache::Cache`] from one [`poll`]-based reactor thread plus a
+//!   small worker pool — thousands of connections, bounded threads; an
+//!   automaton's notifications go from the pool worker that ran `send()`
+//!   straight to its connection's outbox,
+//! * the blocking request loop [`server::serve_connection`], which
+//!   serves one connection in order on one thread: the server behind
+//!   [`client::CacheClient::connect_inproc`] and the differential
+//!   suites' oracle for the reactor, and
 //! * a [`client::CacheClient`] used by applications, with single-tuple
 //!   and batched insert fast paths plus pipelining: many correlated
 //!   requests in flight on one connection, completing out of order.
@@ -38,10 +39,10 @@
 //! ```
 //! use gapl::event::Scalar;
 //! use pscache::CacheBuilder;
-//! use psrpc::{server::RpcServer, client::CacheClient};
+//! use psrpc::{client::CacheClient, reactor::ReactorServer};
 //!
 //! let cache = CacheBuilder::new().build();
-//! let server = RpcServer::bind(cache, "127.0.0.1:0")?;
+//! let server = ReactorServer::bind(cache, "127.0.0.1:0")?;
 //! let addr = server.local_addr();
 //!
 //! let loader = CacheClient::connect(addr)?;
@@ -79,5 +80,5 @@ pub mod wire;
 pub use client::{CacheClient, PendingReply, ReconnectPolicy};
 pub use cluster::ClusterClient;
 pub use error::{Error, Result};
-pub use reactor::{ReactorConfig, ReactorServer};
-pub use server::{RpcServer, ServerStats};
+pub use message::ServerStats;
+pub use reactor::ReactorServer;

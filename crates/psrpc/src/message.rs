@@ -118,9 +118,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Worker-pool saturation: `rpc_worker_busy / rpc_workers`, in
-    /// `[0.0, 1.0]`. `0.0` when the report carries no pool size (a
-    /// blocking-transport server, whose per-connection threads cannot
-    /// saturate a shared pool).
+    /// `[0.0, 1.0]`. `0.0` when the report carries no pool size.
     ///
     /// A reactor worker counts as busy for as long as it holds a
     /// connection — executing, and also blocked in the durability wait
@@ -144,7 +142,7 @@ impl HealthReport {
 }
 
 /// Counters describing a running server; a snapshot is returned by
-/// [`crate::server::RpcServer::stats`] and over the wire by
+/// [`crate::reactor::ReactorServer::stats`] and over the wire by
 /// [`Request::ServerStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
@@ -193,9 +191,10 @@ pub struct ServerStats {
     /// `repl_commit_lsn - repl_min_follower_acked_lsn` is the
     /// end-to-end replication lag in records.
     pub repl_min_follower_acked_lsn: u64,
-    /// Requests decoded but not yet answered across all connections
-    /// (reactor transport only; always 0 on the blocking transport,
-    /// whose workers execute synchronously).
+    /// Requests decoded but not yet answered across all connections.
+    /// Always 0 from the blocking request loop behind
+    /// [`crate::client::CacheClient::connect_inproc`], which executes
+    /// each request as it decodes it.
     pub rpc_in_flight: u64,
     /// Times the reactor parked a connection's read interest because
     /// its decoded-request queue hit the pipeline cap — persistent
@@ -723,8 +722,8 @@ mod tests {
             ..HealthReport::default()
         };
         assert!((report.worker_saturation() - 0.75).abs() < f64::EPSILON);
-        // A blocking-transport server reports no pool; that is "not
-        // saturated", not a division by zero.
+        // A report with no pool size is "not saturated", not a
+        // division by zero.
         assert_eq!(HealthReport::default().worker_saturation(), 0.0);
     }
 

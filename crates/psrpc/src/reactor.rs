@@ -1,13 +1,12 @@
-//! The event-driven RPC server: thousands of connections, a handful of
-//! threads.
+//! The RPC server: thousands of connections, a handful of threads.
 //!
-//! [`crate::server::RpcServer`] spends two threads per connection, which
-//! caps a node at hundreds of clients and — because each connection's
-//! worker blocks in `read` between requests — serialises every client on
-//! its own round-trip latency. This module keeps that server compiled in
-//! as the semantic oracle and adds a second transport with the same wire
-//! format and the same request semantics (both call `crate::exec`'s
-//! `handle_request`) but an inverted thread model:
+//! A server that spends a blocked thread per connection caps a node at
+//! hundreds of clients and — because each connection's thread blocks in
+//! `read` between requests — serialises every client on its own
+//! round-trip latency. This server keeps the request semantics of the
+//! blocking request loop in [`crate::server`] (both call `crate::exec`'s
+//! request core), which the differential suites hold it to, but inverts
+//! the thread model:
 //!
 //! * one **reactor thread** owns every socket. It blocks in
 //!   [`crate::poll::wait`] over the listener, a [`Waker`] doorbell, and
@@ -16,21 +15,20 @@
 //!   and flushes per-connection outboxes;
 //! * a small **worker pool** executes decoded requests. At most one
 //!   worker drains a given connection at a time (the `executing` flag),
-//!   which preserves the blocking server's contract: requests on one
+//!   which preserves the blocking loop's contract: requests on one
 //!   connection are executed and answered in receive order. Workers for
-//!   *different* connections run in parallel, exactly as the blocking
-//!   server's per-connection threads did;
+//!   *different* connections run in parallel;
 //! * **backpressure** is per connection: when a client pipelines more
-//!   than [`ReactorConfig::max_pipeline_depth`] undecided requests, the
-//!   reactor parks that connection's read interest (counted in
-//!   `rpc_queue_stalls`) and lets TCP flow control push back, resuming
-//!   as workers drain the inbox.
+//!   than [`pscache::config::DEFAULT_RPC_MAX_PIPELINE`] undecided
+//!   requests, the reactor parks that connection's read interest
+//!   (counted in `rpc_queue_stalls`) and lets TCP flow control push
+//!   back, resuming as workers drain the inbox.
 //!
-//! Shutdown preserves [`crate::server::RpcServer::shutdown`]'s drain
-//! contract: stop accepting, stop reading, execute every request already
-//! received, flush every reply, then tear down — force-closing only what
-//! outlives the grace period — and finally flush the write-ahead log so
-//! an acknowledged insert can never be lost to a server exit.
+//! Shutdown drains: stop accepting, stop reading, execute every request
+//! already received, flush every reply, then tear down — force-closing
+//! only what outlives the grace period — and finally flush the
+//! write-ahead log so an acknowledged insert can never be lost to a
+//! server exit.
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{Read as _, Write as _};
@@ -44,6 +42,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
+use pscache::config::DEFAULT_RPC_MAX_PIPELINE;
 use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink, WriteRun};
 
 use crate::error::{Error, Result};
@@ -69,30 +68,8 @@ const WORKER_BUDGET: usize = 32;
 const RUN_LIMIT: usize = 16;
 
 /// How long [`ReactorServer::shutdown`] lets connections drain before
-/// force-closing the stragglers (mirrors the blocking server's grace).
+/// force-closing the stragglers.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// Tuning knobs for a [`ReactorServer`].
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Worker threads executing decoded requests. The reactor thread
-    /// itself never executes a request, so this is the server's whole
-    /// execution parallelism.
-    pub workers: usize,
-    /// Decoded-but-unanswered requests one connection may queue before
-    /// its read interest is parked (counted in
-    /// [`ServerStats::rpc_queue_stalls`]).
-    pub max_pipeline_depth: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            workers: pscache::config::DEFAULT_RPC_WORKERS,
-            max_pipeline_depth: pscache::config::DEFAULT_RPC_MAX_PIPELINE,
-        }
-    }
-}
 
 /// What a worker pulls off the shared job queue.
 enum Job {
@@ -353,9 +330,8 @@ struct Conn {
 
 /// A running event-driven RPC server bound to a TCP address.
 ///
-/// Wire-compatible with [`crate::server::RpcServer`] — any
-/// [`crate::client::CacheClient`] works against either — but built to
-/// hold thousands of concurrent connections and to let a pipelining
+/// Any [`crate::client::CacheClient`] talks to it over TCP. It is built
+/// to hold thousands of concurrent connections and to let a pipelining
 /// client keep many requests in flight on one socket.
 pub struct ReactorServer {
     local_addr: SocketAddr,
@@ -378,9 +354,12 @@ impl std::fmt::Debug for ReactorServer {
 }
 
 impl ReactorServer {
-    /// Bind with the cache's configured worker count (see
-    /// `pscache::CacheBuilder::rpc_workers`) and the default pipeline
-    /// depth.
+    /// Bind to `addr` (use port 0 for an ephemeral port) and start
+    /// serving: [`pscache::CacheBuilder::rpc_workers`] worker threads
+    /// execute requests, and a connection may queue up to
+    /// [`pscache::config::DEFAULT_RPC_MAX_PIPELINE`] decoded-but-unanswered
+    /// requests before its read interest is parked (counted in
+    /// [`ServerStats::rpc_queue_stalls`]).
     ///
     /// # Errors
     ///
@@ -403,23 +382,6 @@ impl ReactorServer {
     /// # Ok::<(), psrpc::Error>(())
     /// ```
     pub fn bind(cache: Cache, addr: impl ToSocketAddrs) -> Result<ReactorServer> {
-        let config = ReactorConfig {
-            workers: cache.rpc_workers(),
-            ..ReactorConfig::default()
-        };
-        Self::bind_with(cache, addr, config)
-    }
-
-    /// Bind with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReactorServer::bind`].
-    pub fn bind_with(
-        cache: Cache,
-        addr: impl ToSocketAddrs,
-        config: ReactorConfig,
-    ) -> Result<ReactorServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -428,7 +390,7 @@ impl ReactorServer {
         let shutting_down = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = unbounded::<Job>();
 
-        let workers = (0..config.workers.max(1))
+        let workers = (0..cache.rpc_workers().max(1))
             .map(|i| {
                 let cache = cache.clone();
                 let stats = Arc::clone(&stats);
@@ -448,7 +410,6 @@ impl ReactorServer {
             let waker = Arc::clone(&waker);
             let shutting_down = Arc::clone(&shutting_down);
             let job_tx = job_tx.clone();
-            let max_pipeline = config.max_pipeline_depth.max(1);
             std::thread::Builder::new()
                 .name("psrpc-reactor".into())
                 .spawn(move || {
@@ -460,7 +421,6 @@ impl ReactorServer {
                         &shutting_down,
                         &waker,
                         &job_tx,
-                        max_pipeline,
                     );
                 })
                 .expect("spawning the reactor thread never fails")
@@ -489,11 +449,11 @@ impl ReactorServer {
         self.stats.snapshot(&self.cache)
     }
 
-    /// Graceful shutdown with the same contract as
-    /// [`crate::server::RpcServer::shutdown`]: stop accepting, stop
-    /// reading, execute every request already received and flush its
-    /// reply, force-close what outlives the grace period, join every
-    /// thread, and flush the write-ahead log.
+    /// Graceful shutdown: stop accepting, stop reading, execute every
+    /// request already received and flush its reply, force-close what
+    /// outlives the grace period, join every thread, and flush the
+    /// write-ahead log — an acknowledged insert can never be lost to a
+    /// server exit, regardless of sync policy.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -829,7 +789,6 @@ fn reactor_read(
     policy: &ClientPolicy,
     stats: &StatsInner,
     job_tx: &Sender<Job>,
-    max_pipeline: usize,
 ) {
     loop {
         match (&conn.stream).read(buf) {
@@ -926,7 +885,7 @@ fn reactor_read(
                 }
                 // At the pipeline cap: leave the rest in the kernel
                 // buffer and let TCP flow control push back.
-                if conn.shared.exec.lock().inbox.len() >= max_pipeline {
+                if conn.shared.exec.lock().inbox.len() >= DEFAULT_RPC_MAX_PIPELINE {
                     return;
                 }
             }
@@ -994,7 +953,6 @@ fn flush_out(conn: &Conn, stats: &StatsInner) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reactor_loop(
     listener: &TcpListener,
     cache: &Cache,
@@ -1003,7 +961,6 @@ fn reactor_loop(
     shutting_down: &AtomicBool,
     waker: &Arc<Waker>,
     job_tx: &Sender<Job>,
-    max_pipeline: usize,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut read_buf = vec![0u8; 16 * 1024];
@@ -1070,7 +1027,7 @@ fn reactor_loop(
             {
                 let mut exec = conn.shared.exec.lock();
                 if !exec.read_closed && !exec.defunct && !draining {
-                    if exec.inbox.len() < max_pipeline {
+                    if exec.inbox.len() < DEFAULT_RPC_MAX_PIPELINE {
                         events |= POLL_IN;
                         exec.paused = false;
                     } else if !exec.paused {
@@ -1105,15 +1062,7 @@ fn reactor_loop(
         }
         for (k, &i) in slots.iter().enumerate() {
             if fds[base + k].readable() {
-                reactor_read(
-                    &mut conns[i],
-                    &mut read_buf,
-                    cache,
-                    policy,
-                    stats,
-                    job_tx,
-                    max_pipeline,
-                );
+                reactor_read(&mut conns[i], &mut read_buf, cache, policy, stats, job_tx);
             }
         }
         // Flush every non-empty outbox — including connections that

@@ -27,19 +27,6 @@ pub trait SendHalf: Send {
     fn send(&mut self, message: &[u8]) -> Result<()>;
 }
 
-/// One idle-aware receive outcome; see [`RecvHalf::recv_idle`].
-#[derive(Debug)]
-pub enum RecvEvent {
-    /// A complete logical message.
-    Message(Vec<u8>),
-    /// Nothing arrived within the transport's polling interval; the
-    /// stream is intact. Lets a draining server check its shutdown flag
-    /// between requests.
-    Idle,
-    /// The peer closed the connection cleanly.
-    Closed,
-}
-
 /// The receiving half of a duplex message transport.
 pub trait RecvHalf: Send {
     /// Receive one logical message; `Ok(None)` means the peer closed the
@@ -49,20 +36,6 @@ pub trait RecvHalf: Send {
     ///
     /// Returns an error on transport failures or protocol violations.
     fn recv(&mut self) -> Result<Option<Vec<u8>>>;
-
-    /// Receive one logical message, surfacing inter-message timeouts as
-    /// [`RecvEvent::Idle`] instead of blocking forever. The default
-    /// simply blocks (transports without timeouts never go idle).
-    ///
-    /// # Errors
-    ///
-    /// See [`RecvHalf::recv`].
-    fn recv_idle(&mut self) -> Result<RecvEvent> {
-        Ok(match self.recv()? {
-            Some(message) => RecvEvent::Message(message),
-            None => RecvEvent::Closed,
-        })
-    }
 }
 
 /// TCP sending half (buffered).
@@ -116,16 +89,6 @@ impl RecvHalf for TcpRecvHalf {
     fn recv(&mut self) -> Result<Option<Vec<u8>>> {
         framing::read_message(&mut self.reader)
     }
-
-    fn recv_idle(&mut self) -> Result<RecvEvent> {
-        // Goes idle only when the socket has a read timeout configured
-        // (the server sets one on accepted connections).
-        Ok(match framing::read_message_or_idle(&mut self.reader)? {
-            framing::ReadEvent::Message(m) => RecvEvent::Message(m),
-            framing::ReadEvent::Idle => RecvEvent::Idle,
-            framing::ReadEvent::Closed => RecvEvent::Closed,
-        })
-    }
 }
 
 /// In-process sending half: fragments are individual channel messages.
@@ -176,34 +139,16 @@ impl SendHalf for InprocSendHalf {
     }
 }
 
-impl InprocRecvHalf {
-    /// Shared body of `recv`/`recv_idle`: `idle_poll` bounds the wait
-    /// for the *first* fragment of a message; mid-message fragments are
-    /// always waited for (an in-process sender cannot stall
-    /// mid-message without having vanished).
-    fn recv_inner(&mut self, idle_poll: Option<std::time::Duration>) -> Result<RecvEvent> {
+impl RecvHalf for InprocRecvHalf {
+    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
         self.pending.clear();
         loop {
-            let frag = match (idle_poll, self.pending.is_empty()) {
-                (Some(poll), true) => match self.rx.recv_timeout(poll) {
-                    Ok(f) => f,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                        return Ok(RecvEvent::Idle)
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        return Ok(RecvEvent::Closed)
-                    }
-                },
-                _ => match self.rx.recv() {
-                    Ok(f) => f,
-                    Err(_) => {
-                        return if self.pending.is_empty() {
-                            Ok(RecvEvent::Closed)
-                        } else {
-                            Err(Error::protocol("peer vanished mid-message"))
-                        }
-                    }
-                },
+            let Ok(frag) = self.rx.recv() else {
+                return if self.pending.is_empty() {
+                    Ok(None)
+                } else {
+                    Err(Error::protocol("peer vanished mid-message"))
+                };
             };
             if frag.len() < crate::framing::FRAGMENT_HEADER {
                 return Err(Error::protocol("runt fragment"));
@@ -216,23 +161,9 @@ impl InprocRecvHalf {
             self.pending
                 .extend_from_slice(&frag[crate::framing::FRAGMENT_HEADER..]);
             if last {
-                return Ok(RecvEvent::Message(std::mem::take(&mut self.pending)));
+                return Ok(Some(std::mem::take(&mut self.pending)));
             }
         }
-    }
-}
-
-impl RecvHalf for InprocRecvHalf {
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        Ok(match self.recv_inner(None)? {
-            RecvEvent::Message(m) => Some(m),
-            RecvEvent::Closed => None,
-            RecvEvent::Idle => unreachable!("recv_inner(None) never goes idle"),
-        })
-    }
-
-    fn recv_idle(&mut self) -> Result<RecvEvent> {
-        self.recv_inner(Some(std::time::Duration::from_millis(100)))
     }
 }
 
@@ -257,6 +188,19 @@ mod tests {
         let ((client_tx, _client_rx), (_server_tx, mut server_rx)) = inproc_pair();
         drop(client_tx);
         assert!(server_rx.recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn inproc_sender_vanishing_mid_message_is_a_protocol_error() {
+        let ((client_tx, _client_rx), (_server_tx, mut server_rx)) = inproc_pair();
+        let first = fragment(&[9u8; 3000]).swap_remove(0);
+        assert_eq!(first[2], 0, "the first of several fragments is not last");
+        client_tx.tx.send(first).unwrap();
+        drop(client_tx);
+        match server_rx.recv() {
+            Err(Error::Protocol { message }) => assert_eq!(message, "peer vanished mid-message"),
+            other => panic!("expected a mid-message protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 #   2. every doc example compiled and executed as a doctest;
 #   3. every crates/, tests/, scripts/, benchmark/ or docs/ file path
 #      quoted in README.md and docs/*.md exists, so moving or splitting
-#      a source file cannot leave a dangling code pointer behind.
+#      a source file cannot leave a dangling code pointer behind;
+#   4. every row of docs/architecture.md's "Ordering guarantees,
+#      summarised" table either says it promises nothing or names
+#      `tests/<file>.rs::<fn>` tests, and each named file has that fn.
 #
 # Also available as `cargo docs-check` (alias in .cargo/config.toml)
 # for step 1 only.
@@ -38,4 +41,34 @@ if [ -n "$missing" ]; then
     exit 1
 fi
 
-echo "docs are warning-free, every doc example passes, every code pointer resolves"
+echo "==> ordering guarantees name the tests that check them"
+# Rows of the table (header dropped); the last column is "Checked by".
+rows=$(sed -n '/^## Ordering guarantees, summarised/,/^## /p' docs/architecture.md |
+    grep '^| ' | tail -n +2 || true)
+if [ -z "$rows" ]; then
+    echo "docs/architecture.md has no ordering-guarantees table" >&2
+    exit 1
+fi
+unchecked=$(printf '%s\n' "$rows" |
+    while IFS= read -r row; do
+        scope=$(printf '%s\n' "$row" | awk -F'|' '{ print $2 }')
+        checked=$(printf '%s\n' "$row" | awk -F'|' '{ print $(NF-1) }')
+        case "$checked" in *"no guarantee"*) continue ;; esac
+        tests=$(printf '%s\n' "$checked" | grep -oE 'tests/[A-Za-z0-9_]+\.rs::[A-Za-z0-9_]+' || true)
+        if [ -z "$tests" ]; then
+            echo "  $scope: names no test"
+            continue
+        fi
+        for t in $tests; do
+            grep -qE "fn ${t##*::}([^A-Za-z0-9_]|\$)" "${t%%::*}" 2>/dev/null ||
+                echo "  $scope: $t does not exist"
+        done
+    done)
+if [ -n "$unchecked" ]; then
+    echo "docs/architecture.md ordering guarantees without an existing test:" >&2
+    echo "$unchecked" >&2
+    exit 1
+fi
+
+echo "docs are warning-free, every doc example passes, every code pointer resolves,"
+echo "every ordering guarantee names an existing test"

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use gapl::event::Scalar;
 use psrpc::client::CacheClient;
-use psrpc::server::RpcServer;
+use psrpc::reactor::ReactorServer;
 use unipubsub::prelude::*;
 
 /// A batched insert delivers exactly the same stream — same tuples, same
@@ -104,7 +104,7 @@ fn four_concurrent_clients_on_disjoint_tables() {
             .execute(&format!("create table D{c} (v integer)"))
             .unwrap();
     }
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let per_client = 300usize;
 
@@ -156,7 +156,7 @@ fn four_concurrent_clients_on_a_shared_table() {
     cache
         .execute("create table Shared (client integer, v integer) capacity 100000")
         .unwrap();
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let batches_per_client = 30usize;
     let batch_size = 20usize;
@@ -216,7 +216,7 @@ fn four_concurrent_clients_on_a_shared_table() {
 fn notifications_route_to_the_registering_client() {
     let cache = CacheBuilder::new().build();
     cache.execute("create table N (v integer)").unwrap();
-    let server = RpcServer::bind(cache, "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache, "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     let even_watcher = CacheClient::connect(addr).unwrap();

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use gapl::event::Scalar;
 use psrpc::client::CacheClient;
-use psrpc::server::RpcServer;
+use psrpc::reactor::ReactorServer;
 use unipubsub::prelude::*;
 
 fn wait_for_notifications(
@@ -29,7 +29,7 @@ fn wait_for_notifications(
 #[test]
 fn a_remote_application_can_populate_query_and_react_over_tcp() {
     let cache = CacheBuilder::new().build();
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").expect("bind an ephemeral port");
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").expect("bind an ephemeral port");
     let client = CacheClient::connect(server.local_addr()).expect("connect to the server");
 
     // Role 1: create tables and populate them with raw events.
@@ -78,7 +78,7 @@ fn a_remote_application_can_populate_query_and_react_over_tcp() {
 #[test]
 fn several_clients_share_one_cache() {
     let cache = CacheBuilder::new().build();
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
 
     let writer = CacheClient::connect(server.local_addr()).unwrap();
     let reactor = CacheClient::connect(server.local_addr()).unwrap();
@@ -164,7 +164,7 @@ fn health_lag_is_absent_without_a_follower_and_present_with_one() {
         .open()
         .unwrap();
     let repl_addr = cache.repl_addr().unwrap().to_string();
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let client = CacheClient::connect(server.local_addr()).unwrap();
 
     client

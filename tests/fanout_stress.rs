@@ -28,7 +28,7 @@ fn thousand_automata_sixteen_topics_four_rpc_clients() {
             .execute(&format!("create table T{t} (v integer)"))
             .unwrap();
     }
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // Automata spread round-robin over topics; each guards on one of

@@ -262,3 +262,72 @@ fn eight_automata_on_one_topic_all_observe_every_event_in_order() {
         assert_eq!(seen, (0..200).collect::<Vec<i64>>());
     }
 }
+
+/// Two writers race on table `A` while a third fills `B`. An automaton
+/// on `A` alone sees `A`'s tuples in exactly the order the table stored
+/// them, and an automaton on both topics sees each topic's tuples in
+/// that topic's order — however the two topics interleave.
+#[test]
+fn concurrent_writers_are_delivered_in_storage_order_per_topic() {
+    const PER_WRITER: i64 = 300;
+    let cache = CacheBuilder::new().build();
+    cache
+        .execute("create table A (v integer) capacity 10000")
+        .unwrap();
+    cache
+        .execute("create table B (v integer) capacity 10000")
+        .unwrap();
+    let (_one, rx_one) = cache
+        .register_automaton("subscribe x to A; behavior { send(x.v); }")
+        .unwrap();
+    let (_two, rx_two) = cache
+        .register_automaton(
+            "subscribe x to A; subscribe y to B; behavior { \
+             if (currentTopic() == 'A') send(1, x.v); else send(2, y.v); }",
+        )
+        .unwrap();
+
+    let start = std::sync::Arc::new(std::sync::Barrier::new(3));
+    let writers: Vec<_> = [("A", 0), ("A", 1_000_000), ("B", 0)]
+        .into_iter()
+        .map(|(table, base)| {
+            let cache = cache.clone();
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PER_WRITER {
+                    cache.insert(table, vec![Scalar::Int(base + i)]).unwrap();
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().unwrap();
+    }
+    assert!(cache.quiesce(Duration::from_secs(30)));
+
+    let stored_a: Vec<i64> = cache
+        .select(&Query::new("A"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r.values[0].as_int().unwrap())
+        .collect();
+    assert_eq!(stored_a.len(), 2 * PER_WRITER as usize);
+    let seen_one: Vec<i64> = rx_one
+        .try_iter()
+        .map(|n| n.values[0].as_int().unwrap())
+        .collect();
+    assert_eq!(seen_one, stored_a, "A delivered out of storage order");
+
+    let (mut seen_a, mut seen_b) = (Vec::new(), Vec::new());
+    for n in rx_two.try_iter() {
+        let v = n.values[1].as_int().unwrap();
+        match n.values[0].as_int().unwrap() {
+            1 => seen_a.push(v),
+            _ => seen_b.push(v),
+        }
+    }
+    assert_eq!(seen_a, stored_a, "two-topic automaton reordered A");
+    assert_eq!(seen_b, (0..PER_WRITER).collect::<Vec<_>>());
+}

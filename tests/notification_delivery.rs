@@ -10,8 +10,10 @@
 //!   one contiguous run of fragments on the wire, in per-automaton order.
 //!
 //! Both hold on the event-driven `ReactorServer` and on the blocking
-//! `RpcServer` oracle; every test here reads raw framed bytes so it sees
+//! request-loop oracle; every test here reads raw framed bytes so it sees
 //! exactly what the socket carried, in the order it carried it.
+
+mod support;
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
@@ -21,12 +23,12 @@ use psrpc::client::CacheClient;
 use psrpc::framing;
 use psrpc::message::{CacheReply, ClientMessage, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
-use psrpc::server::RpcServer;
+use support::OracleServer;
 use unipubsub::prelude::*;
 
 /// Run `body` against a fresh cache served by each server flavour.
 fn on_both_servers(build: impl Fn() -> pscache::Cache, body: impl Fn(&str, SocketAddr)) {
-    let blocking = RpcServer::bind(build(), "127.0.0.1:0").unwrap();
+    let blocking = OracleServer::bind(build());
     body("blocking", blocking.local_addr());
     blocking.shutdown();
     let reactor = ReactorServer::bind(build(), "127.0.0.1:0").unwrap();

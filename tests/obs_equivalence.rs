@@ -5,13 +5,15 @@
 //! random pipelined script, the `rpc_requests_*` counters reported over
 //! a [`Request::Metrics`] RPC equal a plain-Rust oracle's count of the
 //! script's operations — and the event-driven reactor agrees with the
-//! thread-per-connection blocking server, including the requests each
+//! blocking request loop (the oracle), including the requests each
 //! transport answers inline. Second, the **flood acceptance** run of
 //! the issue: a durable node under pipelined traced writes yields
 //! populated RPC/WAL/dispatch histograms with spread (p50 < p99), a
 //! Prometheus exposition that round-trips losslessly through the typed
 //! snapshot, and slow-op log entries carrying the client-stamped trace
 //! id with a queue/execute/flush breakdown.
+
+mod support;
 
 use std::time::{Duration, Instant};
 
@@ -22,19 +24,19 @@ use pscache::{MetricsSnapshot, ReqKind};
 use psrpc::client::CacheClient;
 use psrpc::message::Request;
 use psrpc::reactor::ReactorServer;
-use psrpc::server::RpcServer;
+use support::OracleServer;
 use unipubsub::prelude::*;
 
 /// One server under test, behind a common interface.
 enum Server {
-    Blocking(RpcServer),
+    Blocking(OracleServer),
     Reactor(ReactorServer),
 }
 
 impl Server {
     fn start(kind: &str, cache: pscache::Cache) -> Server {
         match kind {
-            "blocking" => Server::Blocking(RpcServer::bind(cache, "127.0.0.1:0").unwrap()),
+            "blocking" => Server::Blocking(OracleServer::bind(cache)),
             _ => Server::Reactor(ReactorServer::bind(cache, "127.0.0.1:0").unwrap()),
         }
     }

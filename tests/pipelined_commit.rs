@@ -5,7 +5,7 @@
 //! once per run. What must stay true while it does:
 //!
 //! * replies leave in submission order and are byte-identical to the
-//!   blocking `RpcServer` oracle's, whatever mix of durable, in-memory,
+//!   blocking request-loop oracle's, whatever mix of durable, in-memory,
 //!   refused and deduplicated requests shares a run;
 //! * **flush-before-ack** — no reply is readable before its record is
 //!   under the durable watermark, including the reply to a *retry* whose
@@ -18,6 +18,8 @@
 //!   become visible and its in-flight count is returned;
 //! * and the point of it all — one pipelined connection gets many
 //!   records per `fsync`, checked as a count, not a timing.
+
+mod support;
 
 use std::fs;
 use std::io::Write as _;
@@ -33,7 +35,7 @@ use psrpc::client::CacheClient;
 use psrpc::framing;
 use psrpc::message::{CacheReply, ClientMessage, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
-use psrpc::server::RpcServer;
+use support::OracleServer;
 
 const KV: &str = "create persistenttable KV (k varchar(16) primary key, v integer)";
 const STREAM: &str = "create table S (v integer)";
@@ -144,7 +146,7 @@ fn on_both_servers(
     };
     let oracle_dir = scratch(&format!("{name}-oracle"));
     let oracle_cache = durable_cache(&oracle_dir, SyncPolicy::Group);
-    let oracle = RpcServer::bind(oracle_cache.clone(), "127.0.0.1:0").unwrap();
+    let oracle = OracleServer::bind(oracle_cache.clone());
     let oracle_bytes = run("blocking", &oracle_cache, oracle.local_addr());
     oracle.shutdown();
     oracle_cache.shutdown();

@@ -16,25 +16,27 @@
 //! cap, old tokens are evicted FIFO, and each client gets its own
 //! budget.
 
+mod support;
+
 use proptest::prelude::*;
 
 use gapl::event::Scalar;
 use psrpc::client::CacheClient;
 use psrpc::message::{CacheReply, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
-use psrpc::server::RpcServer;
+use support::OracleServer;
 use unipubsub::prelude::*;
 
 /// One server under test, behind a common interface.
 enum Server {
-    Blocking(RpcServer),
+    Blocking(OracleServer),
     Reactor(ReactorServer),
 }
 
 impl Server {
     fn start(kind: &str, cache: pscache::Cache) -> Server {
         match kind {
-            "blocking" => Server::Blocking(RpcServer::bind(cache, "127.0.0.1:0").unwrap()),
+            "blocking" => Server::Blocking(OracleServer::bind(cache)),
             _ => Server::Reactor(ReactorServer::bind(cache, "127.0.0.1:0").unwrap()),
         }
     }

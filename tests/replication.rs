@@ -547,14 +547,14 @@ fn a_diverged_follower_is_reset_from_the_primarys_snapshot() {
 
 #[test]
 fn a_reconnecting_client_survives_a_server_restart() {
-    use psrpc::{CacheClient, ReconnectPolicy, RpcServer};
+    use psrpc::{CacheClient, ReactorServer, ReconnectPolicy};
 
     let dir = scratch("client-reconnect");
     let cache = CacheBuilder::new().durability(&dir).open().unwrap();
     cache
         .execute("create persistenttable KV (k varchar(16) primary key, v integer)")
         .unwrap();
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
     let client = CacheClient::connect_reconnecting(&addr, ReconnectPolicy::default()).unwrap();
@@ -571,7 +571,7 @@ fn a_reconnecting_client_survives_a_server_restart() {
     let cache = Cache::recover(&dir).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     let server = loop {
-        match RpcServer::bind(cache.clone(), addr.as_str()) {
+        match ReactorServer::bind(cache.clone(), addr.as_str()) {
             Ok(server) => break server,
             Err(e) => {
                 assert!(Instant::now() < deadline, "could not rebind {addr}: {e}");
@@ -599,7 +599,7 @@ fn a_reconnecting_client_survives_a_server_restart() {
 
 #[test]
 fn graceful_server_shutdown_drains_workers_and_flushes_the_wal() {
-    use psrpc::{CacheClient, RpcServer};
+    use psrpc::{CacheClient, ReactorServer};
 
     let dir = scratch("graceful-shutdown");
     // OsOnly: inserts are acked after a server-side flush, and the
@@ -613,7 +613,7 @@ fn graceful_server_shutdown_drains_workers_and_flushes_the_wal() {
     cache
         .execute("create persistenttable KV (k varchar(16) primary key, v integer)")
         .unwrap();
-    let server = RpcServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // Two clients: one busy, one idle with its connection held open —
@@ -645,7 +645,7 @@ fn graceful_server_shutdown_drains_workers_and_flushes_the_wal() {
 
 #[test]
 fn replication_lag_is_observable_end_to_end_over_server_stats() {
-    use psrpc::{CacheClient, RpcServer};
+    use psrpc::{CacheClient, ReactorServer};
 
     let dir = scratch("stats-over-wire");
     let primary = CacheBuilder::new()
@@ -654,7 +654,7 @@ fn replication_lag_is_observable_end_to_end_over_server_stats() {
         .open()
         .unwrap();
     let repl_addr = primary.repl_addr().unwrap().to_string();
-    let server = RpcServer::bind(primary.clone(), "127.0.0.1:0").unwrap();
+    let server = ReactorServer::bind(primary.clone(), "127.0.0.1:0").unwrap();
     let client = CacheClient::connect(server.local_addr()).unwrap();
 
     client

@@ -1,6 +1,7 @@
 //! Differential protocol suite: the event-driven `ReactorServer` must be
-//! observationally identical to the thread-per-connection `RpcServer`,
-//! which serves as its oracle.
+//! observationally identical to the blocking request loop
+//! (`psrpc::server::serve_connection`, behind `tests/support`'s accept
+//! loop), which serves as its oracle.
 //!
 //! A property test drives both servers with the same randomly generated
 //! script of interleaved, pipelined requests from two clients, then
@@ -24,6 +25,8 @@
 //! events are still in the automaton's mailbox, and both servers must
 //! still deliver every one of them — ahead of the `Unregistered` reply.
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -34,7 +37,7 @@ use gapl::event::Scalar;
 use psrpc::client::{CacheClient, PendingReply};
 use psrpc::message::{CacheReply, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
-use psrpc::server::RpcServer;
+use support::OracleServer;
 use unipubsub::prelude::*;
 
 const CLIENTS: usize = 2;
@@ -44,14 +47,14 @@ const AUTOMATON: &str = "subscribe t to T; behavior { send(t.v); }";
 
 /// One server under test, behind a common interface.
 enum Server {
-    Blocking(RpcServer),
+    Blocking(OracleServer),
     Reactor(ReactorServer),
 }
 
 impl Server {
     fn start(kind: &str, cache: pscache::Cache) -> Server {
         match kind {
-            "blocking" => Server::Blocking(RpcServer::bind(cache, "127.0.0.1:0").unwrap()),
+            "blocking" => Server::Blocking(OracleServer::bind(cache)),
             _ => Server::Reactor(ReactorServer::bind(cache, "127.0.0.1:0").unwrap()),
         }
     }
