@@ -29,7 +29,7 @@ use crate::runtime::{
 };
 use crate::sql::{self, Command};
 use crate::table::{Table, TableKind, TableStore, DEFAULT_STREAM_CAPACITY};
-use crate::wal::{self, Recovery, ReplayOp, SnapshotTable, SyncPolicy, Wal, WalStats};
+use crate::wal::{self, Recovery, ReplayOp, SnapshotTable, Wal, WalStats};
 
 /// [`CacheInner::role`] encoding: writable primary.
 const ROLE_PRIMARY: u8 = 0;
@@ -115,25 +115,17 @@ pub struct DispatchStats {
 /// # Example
 ///
 /// ```
-/// let cache = pscache::CacheBuilder::new()
-///     .manual_clock()
-///     .default_stream_capacity(1024)
-///     .build();
+/// let cache = pscache::CacheBuilder::new().manual_clock().build();
 /// assert!(cache.table_names().contains(&"Timer".to_string()));
 /// ```
 #[derive(Debug)]
 pub struct CacheBuilder {
     clock: Arc<dyn Clock>,
     manual_clock: Option<ManualClock>,
-    default_stream_capacity: usize,
-    print_to_stdout: bool,
     timer_interval: Option<Duration>,
     automaton_workers: usize,
     rpc_workers: usize,
-    naive_fanout: bool,
-    mutex_read_path: bool,
     durability: Option<PathBuf>,
-    sync_policy: SyncPolicy,
     checkpoint_every: u64,
     replicate_to: Option<String>,
     follow: Option<String>,
@@ -150,21 +142,18 @@ impl Default for CacheBuilder {
 }
 
 impl CacheBuilder {
-    /// A builder with the wall clock, a 64 Ki-tuple stream capacity, no
-    /// stdout printing and no background timer thread.
+    /// A builder with the wall clock, no durability and no background
+    /// timer thread. Every other setting starts at its documented
+    /// default; a stream created without its own `capacity` holds
+    /// [`DEFAULT_STREAM_CAPACITY`] tuples.
     pub fn new() -> Self {
         CacheBuilder {
             clock: Arc::new(SystemClock),
             manual_clock: None,
-            default_stream_capacity: DEFAULT_STREAM_CAPACITY,
-            print_to_stdout: false,
             timer_interval: None,
             automaton_workers: DEFAULT_AUTOMATON_WORKERS,
             rpc_workers: crate::config::DEFAULT_RPC_WORKERS,
-            naive_fanout: false,
-            mutex_read_path: false,
             durability: None,
-            sync_policy: SyncPolicy::default(),
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             replicate_to: None,
             follow: None,
@@ -256,15 +245,6 @@ impl CacheBuilder {
         self
     }
 
-    /// When inserts into durable tables are flushed to disk (default
-    /// [`SyncPolicy::Group`]: group commit — concurrent inserters share
-    /// one fsync). Only meaningful together with
-    /// [`CacheBuilder::durability`].
-    pub fn sync_policy(mut self, policy: SyncPolicy) -> Self {
-        self.sync_policy = policy;
-        self
-    }
-
     /// Logged records between automatic snapshot + log-truncation
     /// checkpoints (default [`DEFAULT_CHECKPOINT_EVERY`]; 0 disables
     /// automatic checkpoints — [`Cache::checkpoint`] still works). Only
@@ -297,28 +277,6 @@ impl CacheBuilder {
         self
     }
 
-    /// **Test-only.** Disable the predicate index and deliver every
-    /// published tuple to every subscriber of its topic, exactly like
-    /// the paper's prototype. The differential test suite runs the same
-    /// workload in both modes and asserts byte-identical per-automaton
-    /// output; production callers should never enable this.
-    pub fn naive_fanout(mut self, enabled: bool) -> Self {
-        self.naive_fanout = enabled;
-        self
-    }
-
-    /// **Benchmark/test-only.** Serve `select`s by locking the table
-    /// mutex and `Arc`-cloning the `since` window, exactly like the
-    /// pre-snapshot storage engine, instead of reading the published
-    /// [`TableSnapshot`](crate::snapshot::TableSnapshot) lock-free.
-    /// Exists so the readers×writers scaling bench (and differential
-    /// tests) can compare both paths in one binary; production callers
-    /// should never enable this.
-    pub fn mutex_read_path(mut self, enabled: bool) -> Self {
-        self.mutex_read_path = enabled;
-        self
-    }
-
     /// Use a deterministic, manually advanced clock (see
     /// [`Cache::manual_clock`]).
     pub fn manual_clock(mut self) -> Self {
@@ -332,20 +290,6 @@ impl CacheBuilder {
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self.manual_clock = None;
-        self
-    }
-
-    /// Circular-buffer capacity used for ephemeral tables that do not
-    /// specify their own `capacity`.
-    pub fn default_stream_capacity(mut self, capacity: usize) -> Self {
-        self.default_stream_capacity = capacity.max(1);
-        self
-    }
-
-    /// Echo automaton `print()` output to standard output as well as to the
-    /// per-automaton buffer.
-    pub fn print_to_stdout(mut self, enabled: bool) -> Self {
-        self.print_to_stdout = enabled;
         self
     }
 
@@ -386,7 +330,7 @@ impl CacheBuilder {
         }
         let (wal, mut recovery) = match &self.durability {
             Some(dir) => {
-                let (wal, recovery) = Wal::open(dir, self.sync_policy, self.checkpoint_every)?;
+                let (wal, recovery) = Wal::open(dir, self.checkpoint_every)?;
                 wal.set_obs(Arc::clone(&obs));
                 (Some(Arc::new(wal)), Some(recovery))
             }
@@ -419,11 +363,7 @@ impl CacheBuilder {
             executor: Executor::start(self.automaton_workers, Arc::clone(&obs)),
             clock: self.clock,
             next_automaton_id: AtomicU64::new(1),
-            default_stream_capacity: self.default_stream_capacity,
-            print_to_stdout: self.print_to_stdout,
             rpc_workers: self.rpc_workers,
-            naive_fanout: self.naive_fanout,
-            mutex_read_path: self.mutex_read_path,
             shutting_down: AtomicBool::new(false),
             wal,
             checkpoint_lock: Mutex::new(()),
@@ -744,18 +684,9 @@ pub(crate) struct CacheInner {
     executor: Executor,
     clock: Arc<dyn Clock>,
     next_automaton_id: AtomicU64,
-    default_stream_capacity: usize,
-    print_to_stdout: bool,
     /// Configured execution-pool size for an event-driven RPC server
     /// fronting this cache (see [`CacheBuilder::rpc_workers`]).
     rpc_workers: usize,
-    /// Test-only: bypass the predicate index and fan out to every
-    /// subscriber.
-    naive_fanout: bool,
-    /// Bench/test-only: serve selects through the table mutex instead
-    /// of the published snapshot (see
-    /// [`CacheBuilder::mutex_read_path`]).
-    mutex_read_path: bool,
     shutting_down: AtomicBool,
     /// The write-ahead log, when durability is enabled.
     wal: Option<Arc<Wal>>,
@@ -917,9 +848,10 @@ impl Cache {
     }
 
     /// Promote this follower to a writable primary: seal the
-    /// replication stream (no further record will be applied), flush
-    /// the local write-ahead log, bump the LSN allocator past the
-    /// replicated history, and flip the role. Every record the replica
+    /// replication stream (no further record will be applied), bump the
+    /// LSN allocator past the replicated history, and flip the role.
+    /// Nothing needs flushing: the replica waited for every batch it
+    /// applied to be durable in its own log. Every record the replica
     /// received is preserved; drain the stream first (stop writes on
     /// the old primary, wait for [`Cache::replica_lsn`] to reach its
     /// commit watermark) for a lossless planned failover.
@@ -930,23 +862,14 @@ impl Cache {
     /// # Errors
     ///
     /// Returns [`Error::Repl`] when this cache is not a follower (never
-    /// was, or was already promoted), and [`Error::Wal`] when the final
-    /// log flush fails.
+    /// was, or was already promoted).
     pub fn promote(&self) -> Result<()> {
         let mut slot = self.follower.lock();
         let handle = slot.take().ok_or_else(|| {
             Error::repl("promote() requires a follower (Cache::follow / CacheBuilder::follow)")
         })?;
-        let addr = handle.shared().addr.clone();
         handle.seal();
         if let Some(wal) = &self.inner.wal {
-            if let Err(e) = wal.flush() {
-                // The promotion did not happen: restore the stream so
-                // the cache stays a functioning (retryable) follower
-                // instead of wedging read-only with no subscription.
-                *slot = Some(FollowerHandle::start(Arc::downgrade(&self.inner), addr));
-                return Err(e);
-            }
             wal.bump_next_lsn(self.inner.repl_applied_lsn.load(Ordering::Acquire) + 1);
         }
         self.inner.role.store(ROLE_PRIMARY, Ordering::Release);
@@ -1052,24 +975,6 @@ impl Cache {
         self.inner.checkpoint()
     }
 
-    /// Flush every buffered write-ahead-log record to disk. A no-op
-    /// under [`SyncPolicy::Group`] (a committed [`WriteRun`] already
-    /// waited for durability) and the explicit durability point under
-    /// [`SyncPolicy::OsOnly`] — the RPC server
-    /// calls this before acknowledging inserts, so a client ack always
-    /// implies the data is on disk. Without durability enabled this
-    /// returns `Ok(())`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Wal`] when the flush fails.
-    pub fn flush_wal(&self) -> Result<()> {
-        match &self.inner.wal {
-            Some(wal) => wal.flush(),
-            None => Ok(()),
-        }
-    }
-
     /// Durability counters (records logged, fsyncs issued, checkpoints,
     /// records replayed at open), or `None` when durability is off.
     /// `records / syncs` is the achieved group-commit size.
@@ -1150,7 +1055,7 @@ impl Cache {
                     &name,
                     kind,
                     Arc::new(schema),
-                    capacity.unwrap_or(self.inner.default_stream_capacity),
+                    capacity.unwrap_or(DEFAULT_STREAM_CAPACITY),
                     token,
                 )?;
                 Ok(Response::Created)
@@ -1226,7 +1131,7 @@ impl Cache {
             name,
             kind,
             Arc::new(schema),
-            capacity.unwrap_or(self.inner.default_stream_capacity),
+            capacity.unwrap_or(DEFAULT_STREAM_CAPACITY),
         )
     }
 
@@ -1475,7 +1380,6 @@ impl Cache {
             cache: Arc::downgrade(&self.inner),
             notifier: Box::new(notifier),
             stats: Arc::clone(&stats),
-            print_to_stdout: self.inner.print_to_stdout,
         })));
         self.inner.routes.write().insert(
             id,
@@ -1715,11 +1619,6 @@ impl Cache {
         }
         if let Some(follower) = self.follower.lock().take() {
             follower.seal();
-        }
-        // Push any OsOnly-buffered log records to disk; a clean shutdown
-        // should never lose acknowledged writes regardless of policy.
-        if let Some(wal) = &self.inner.wal {
-            let _ = wal.flush();
         }
         self.inner.automata.lock().clear();
         self.inner.dispatch.clear_subscribers();
@@ -2463,8 +2362,7 @@ impl CacheInner {
     /// candidates from the snapshot — equality guards via bucket
     /// lookup, range guards via band test, residual guards by
     /// evaluation — so an insert wakes only the automata that can act
-    /// on it. In naive fan-out mode (test-only) every subscriber is
-    /// selected, reproducing the paper's prototype exactly.
+    /// on it.
     fn publish_locked(&self, topic: &str, tuples: &[Tuple]) {
         if tuples.is_empty() {
             return;
@@ -2482,11 +2380,7 @@ impl CacheInner {
         // subtracts at pickup to record dispatch queue latency.
         let enqueued = self.obs.enabled().then(Instant::now);
         for tuple in tuples {
-            if self.naive_fanout {
-                selected.extend_from_slice(index.all());
-            } else {
-                index.select_into(tuple, &mut selected);
-            }
+            index.select_into(tuple, &mut selected);
             for id in selected.drain(..) {
                 if let Some(route) = routes.get(&id) {
                     route.stats.record_enqueued();
@@ -2501,42 +2395,21 @@ impl CacheInner {
         }
     }
 
-    /// Take a consistent, windowed *cloned* snapshot of a table through
-    /// the table mutex — the pre-snapshot storage engine's read path,
-    /// kept verbatim behind [`CacheBuilder::mutex_read_path`] as the
-    /// bench baseline and differential oracle.
-    fn mutex_snapshot(
-        &self,
-        table_name: &str,
-        since: Option<Timestamp>,
-    ) -> Result<(Arc<Schema>, Vec<Tuple>)> {
-        let table = self.tables.get(table_name)?;
-        let guard = table.lock();
-        let schema = Arc::clone(guard.schema());
-        let rows = guard.snapshot_since(since);
-        Ok((schema, rows))
-    }
-
     /// The lock-free read path: load the table's published snapshot
     /// (one shared-pointer clone under a momentary slot read-guard —
     /// never the table mutex) and evaluate the plan directly over the
     /// snapshot's borrowed rows. The evaluation cuts one visible
     /// horizon when iteration starts, so it observes every write
-    /// committed before the call and none after — the same atomicity
-    /// the mutex path bought with its lock, now for free. Matching
+    /// committed before the call and none after — the atomicity a
+    /// table lock would buy, without taking one. Matching
     /// rows alone pay refcount clones, at projection time; with a
     /// selective predicate the win over clone-the-window is large even
     /// single-threaded, before any reader parallelism.
     pub(crate) fn select(&self, query: &Query) -> Result<ResultSet> {
         let t = self.obs.enabled().then(Instant::now);
-        let result = if self.mutex_read_path {
-            let (schema, rows) = self.mutex_snapshot(query.table(), query.since_tstamp())?;
-            QueryPlan::compile(query, &schema)?.evaluate(&rows)
-        } else {
-            let snap = self.tables.get(query.table())?.snapshot();
-            let plan = QueryPlan::compile(query, snap.schema())?;
-            plan.evaluate_rows(snap.range(query.since_tstamp()))
-        };
+        let snap = self.tables.get(query.table())?.snapshot();
+        let plan = QueryPlan::compile(query, snap.schema())?;
+        let result = plan.evaluate_rows(snap.range(query.since_tstamp()));
         if let Some(t) = t {
             self.obs.select_ns.record_duration(t.elapsed());
         }
@@ -2549,15 +2422,9 @@ impl CacheInner {
     /// is: one atomic snapshot load, one pointer compare, evaluate.
     pub(crate) fn select_cached(&self, entry: &PlanEntry) -> Result<ResultSet> {
         let t = self.obs.enabled().then(Instant::now);
-        let result = if self.mutex_read_path {
-            let (schema, rows) =
-                self.mutex_snapshot(entry.query.table(), entry.query.since_tstamp())?;
-            entry.plan_for(&schema)?.evaluate(&rows)
-        } else {
-            let snap = self.tables.get(entry.query.table())?.snapshot();
-            let plan = entry.plan_for(snap.schema())?;
-            plan.evaluate_rows(snap.range(entry.query.since_tstamp()))
-        };
+        let snap = self.tables.get(entry.query.table())?.snapshot();
+        let plan = entry.plan_for(snap.schema())?;
+        let result = plan.evaluate_rows(snap.range(entry.query.since_tstamp()));
         if let Some(t) = t {
             self.obs.select_ns.record_duration(t.elapsed());
         }
@@ -3461,17 +3328,51 @@ mod tests {
         assert_eq!(stats.queue_depth, 0);
     }
 
+    /// Readers never convoy with writers: with the table's writer lock
+    /// held, every read entry point still answers from the published
+    /// snapshot. A read that took the lock would block until the guard
+    /// drops, which the `recv_timeout` turns into a failure, not a hang.
     #[test]
-    fn naive_fanout_mode_delivers_everything() {
-        let c = CacheBuilder::new()
-            .manual_clock()
-            .naive_fanout(true)
-            .build();
+    fn a_select_never_waits_on_the_table_mutex() {
+        let c = cache();
+        c.execute("create persistenttable KV (k varchar(8), v integer)")
+            .unwrap();
+        for (i, k) in ["a", "b", "c"].into_iter().enumerate() {
+            c.insert("KV", vec![Scalar::Str(k.into()), Scalar::Int(i as i64)])
+                .unwrap();
+        }
+        let sql = "select k, v from KV where v >= 1";
+        c.execute(sql).unwrap(); // compile and cache the plan
+        let table = c.inner.tables.get("KV").unwrap();
+        let writer = table.lock();
+
+        let (tx, rx) = unbounded();
+        let reader = c.clone();
+        let handle = std::thread::spawn(move || {
+            let cached = reader.execute(sql).unwrap().rows().unwrap().rows.len();
+            let ad_hoc = reader.select(&Query::new("KV")).unwrap().rows.len();
+            let found = reader.lookup("KV", "b").unwrap().is_some();
+            let len = reader.table_len("KV").unwrap();
+            let _ = tx.send((cached, ad_hoc, found, len));
+        });
+        let answered = rx.recv_timeout(Duration::from_secs(5));
+        drop(writer);
+        handle.join().expect("the reader thread panicked");
+        assert_eq!(
+            answered.expect("a read waited on the table mutex"),
+            (2, 3, true, 3)
+        );
+        assert!(c.plan_cache_stats().hits >= 1);
+    }
+
+    #[test]
+    fn a_guard_with_an_else_is_delivered_every_tuple() {
+        let c = cache();
         c.execute("create table Ticks (sym varchar(8), price integer)")
             .unwrap();
         let (id, rx) = c
             .register_automaton(
-                "subscribe t to Ticks; behavior { if (t.sym == 'IBM') send(t.price); }",
+                "subscribe t to Ticks; behavior { if (t.sym == 'IBM') send(t.price); else {} }",
             )
             .unwrap();
         for sym in ["IBM", "MSFT", "AAPL"] {

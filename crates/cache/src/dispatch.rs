@@ -272,7 +272,7 @@ pub(crate) struct SubscriberIndex {
     bands: Vec<(AutomatonId, Band)>,
     scans: Vec<(AutomatonId, Guard)>,
     catch_all: Vec<AutomatonId>,
-    /// Every subscriber, registration-ordered — the naive fan-out set.
+    /// Every subscriber, registration-ordered.
     all: Vec<AutomatonId>,
 }
 
@@ -283,11 +283,6 @@ impl SubscriberIndex {
 
     pub fn subscriber_count(&self) -> usize {
         self.all.len()
-    }
-
-    /// Every subscriber, for the test-only naive fan-out mode.
-    pub fn all(&self) -> &[AutomatonId] {
-        &self.all
     }
 
     /// Append to `out` the ids of every subscriber whose prefilter

@@ -83,4 +83,4 @@ pub use query::{Aggregate, Comparison, Predicate, Query, ResultSet, Row};
 pub use repl::{ReplRole, ReplStats};
 pub use runtime::{AutomatonId, Notification, NotificationSink};
 pub use table::TableKind;
-pub use wal::{SyncPolicy, WalStats};
+pub use wal::WalStats;

@@ -42,8 +42,9 @@
 //!   loss.
 //!
 //! * **Promotion**. [`Cache::promote`](crate::Cache::promote) seals the
-//!   stream, flushes the local log, bumps the LSN allocator past the
-//!   replicated history, and flips the replica writable. Everything the
+//!   stream, bumps the LSN allocator past the replicated history, and
+//!   flips the replica writable; the local log needs no flush, because
+//!   every applied batch was already durable. Everything the
 //!   follower received is preserved; with the stream drained at
 //!   promotion time (the normal planned-failover sequence) that is the
 //!   primary's entire acknowledged history.

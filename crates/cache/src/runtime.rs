@@ -124,7 +124,6 @@ pub(crate) struct RegisterCmd {
     pub cache: Weak<CacheInner>,
     pub notifier: Box<dyn NotificationSink + Send>,
     pub stats: Arc<AutomatonStats>,
-    pub print_to_stdout: bool,
 }
 
 /// A message in a worker's mailbox.
@@ -277,7 +276,6 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
                     automaton: cmd.id,
                     notifier: cmd.notifier,
                     stats: cmd.stats,
-                    print_to_stdout: cmd.print_to_stdout,
                 };
                 let mut vm = Vm::new(cmd.program);
                 if let Err(e) = vm.run_initialization(&mut host) {
@@ -332,7 +330,6 @@ pub(crate) struct CacheHost {
     pub automaton: AutomatonId,
     pub notifier: Box<dyn NotificationSink + Send>,
     pub stats: Arc<AutomatonStats>,
-    pub print_to_stdout: bool,
 }
 
 impl CacheHost {
@@ -370,9 +367,6 @@ impl HostInterface for CacheHost {
     }
 
     fn print(&mut self, text: &str) {
-        if self.print_to_stdout {
-            println!("{text}");
-        }
         self.stats.printed.lock().push(text.to_owned());
     }
 

@@ -204,7 +204,7 @@ impl TableSnapshot {
     /// order, without cloning a single tuple. The visible horizon is
     /// loaded once, so the iteration is one consistent point-in-time
     /// view: it observes every row committed before the call and none
-    /// after, exactly like the mutex path's cloned window did.
+    /// after.
     pub(crate) fn range(&self, since: Option<Timestamp>) -> SnapRange<'_> {
         let end = self.end();
         let first = self.first().min(end);
@@ -221,8 +221,9 @@ impl TableSnapshot {
         }
     }
 
-    /// The `since` window as cloned tuples (legacy-shaped helper for
-    /// the mutex baseline path and checkpoints).
+    /// The `since` window as cloned tuples, for callers that hold the
+    /// table lock ([`Table::snapshot_since`](crate::table::Table::snapshot_since)
+    /// and checkpoints).
     pub(crate) fn collect_since(&self, since: Option<Timestamp>) -> Vec<Tuple> {
         self.range(since).cloned().collect()
     }

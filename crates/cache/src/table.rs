@@ -211,8 +211,8 @@ impl Table {
     /// rows are a *suffix* of the log and a binary search finds its
     /// start — O(log n + k) for a k-row window over an n-row table.
     /// Lock-free readers use the same index through
-    /// [`TableHandle::snapshot`]; this clone-out form serves the
-    /// writer-side callers (checkpoints, the mutex baseline path).
+    /// [`TableHandle::snapshot`]; this clone-out form is for callers
+    /// that already hold the table lock.
     pub fn snapshot_since(&self, since: Option<Timestamp>) -> Vec<Tuple> {
         match self {
             Table::Ephemeral(t) => t.cur.collect_since(since),

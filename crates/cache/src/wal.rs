@@ -24,7 +24,9 @@
 //!   `fsync` for every record buffered so far while later arrivals queue
 //!   behind the condvar — under 16 concurrent inserters one disk flush
 //!   commits ~16 inserts, which is where the ≥5x group-commit speedup in
-//!   `BENCH_wal.json` comes from.
+//!   `BENCH_wal.json` comes from. Group commit is the log's only flush
+//!   discipline: no write is acknowledged before its fsync, and nothing
+//!   else ever needs to flush the buffer except a checkpoint.
 //!
 //! * **Checkpoints.** Every [`checkpoint_every`](crate::CacheBuilder::checkpoint_every)
 //!   records (or on [`Cache::checkpoint`](crate::Cache::checkpoint)) the
@@ -82,24 +84,6 @@ use crate::wire::{WireReader, WireWriter};
 
 /// Name of the snapshot file inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
-
-/// When the log must be flushed relative to the insert that wrote to
-/// it (see [`CacheBuilder::sync_policy`](crate::CacheBuilder::sync_policy)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Group commit (the default): records are buffered, and one waiter
-    /// flushes on behalf of everyone queued behind it. Inserts
-    /// still return only after their record is on disk; concurrent
-    /// inserters amortise the fsync.
-    #[default]
-    Group,
-    /// Records are written to the OS promptly but never fsynced by the
-    /// insert path; durability is best-effort until [`Cache::flush_wal`](crate::Cache::flush_wal)
-    /// (which the RPC server calls before acknowledging inserts) or a
-    /// checkpoint forces a flush. Survives a process crash, not a power
-    /// failure.
-    OsOnly,
-}
 
 /// Counters describing a cache's durability subsystem; see
 /// [`Cache::wal_stats`](crate::Cache::wal_stats).
@@ -807,7 +791,7 @@ struct LogState {
     /// LSN of the newest appended frame (buffered or written).
     appended_lsn: u64,
     /// The durable watermark: every appended frame at or below this LSN
-    /// is on disk under the current policy. Never ahead of
+    /// is written and fsynced. Never ahead of
     /// `appended_lsn`; the two are equal exactly when the log is clean.
     durable_lsn: u64,
     /// A group-commit leader is writing outside the lock.
@@ -842,7 +826,6 @@ pub(crate) type Backlog = (Option<Vec<u8>>, Vec<(u64, Vec<u8>)>);
 /// [module documentation](self).
 pub(crate) struct Wal {
     dir: PathBuf,
-    policy: SyncPolicy,
     state: Mutex<LogState>,
     /// Signalled whenever `durable_lsn` advances, the leader slot frees
     /// up, or the log wedges.
@@ -870,10 +853,7 @@ pub(crate) struct Wal {
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal")
-            .field("dir", &self.dir)
-            .field("policy", &self.policy)
-            .finish()
+        f.debug_struct("Wal").field("dir", &self.dir).finish()
     }
 }
 
@@ -881,7 +861,7 @@ impl Wal {
     /// Open (or create) the durability directory, read the snapshot and
     /// every complete log record, and return the log ready for appends
     /// plus everything the cache must replay.
-    pub fn open(dir: &Path, policy: SyncPolicy, checkpoint_every: u64) -> Result<(Wal, Recovery)> {
+    pub fn open(dir: &Path, checkpoint_every: u64) -> Result<(Wal, Recovery)> {
         fs::create_dir_all(dir)?;
 
         let snapshot_path = dir.join(SNAPSHOT_FILE);
@@ -981,7 +961,6 @@ impl Wal {
         let replayed = ops.len() as u64;
         let wal = Wal {
             dir: dir.to_path_buf(),
-            policy,
             state: Mutex::new(LogState {
                 file,
                 buf: Vec::new(),
@@ -1137,7 +1116,7 @@ impl Wal {
         state.check()?;
         let lsn = state.next_lsn;
         state.next_lsn += 1;
-        self.push(&mut state, lsn, &encode(lsn))?;
+        self.push(&mut state, lsn, &encode(lsn));
         self.obs_record(t, |o| &o.wal_append_ns);
         Ok(lsn)
     }
@@ -1157,41 +1136,31 @@ impl Wal {
                 state.appended_lsn
             )));
         }
-        self.push(&mut state, lsn, framed)?;
+        self.push(&mut state, lsn, framed);
         self.obs_record(t, |o| &o.wal_append_ns);
         Ok(())
     }
 
-    fn push(&self, state: &mut LogState, lsn: u64, framed: &[u8]) -> Result<()> {
+    fn push(&self, state: &mut LogState, lsn: u64, framed: &[u8]) {
         state.buf.extend_from_slice(framed);
         state.appended_lsn = lsn;
         self.records.fetch_add(1, Ordering::Relaxed);
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
-        match self.policy {
-            // Hand the bytes to the OS now (so a *process* crash loses
-            // nothing) but leave the disk flush to flush()/checkpoints.
-            SyncPolicy::OsOnly => self.flush_locked(state, false),
-            SyncPolicy::Group => Ok(()),
-        }
     }
 
-    /// Block until the record with LSN `lsn` is durable. Under
-    /// [`SyncPolicy::Group`] the first waiter flushes for everyone
-    /// queued behind it (leader election via the `syncing` flag); under
-    /// [`SyncPolicy::OsOnly`] nothing waits for the disk.
+    /// Block until the record with LSN `lsn` is durable: the first
+    /// waiter flushes for everyone queued behind it (leader election via
+    /// the `syncing` flag).
     pub fn wait_durable(&self, lsn: u64) -> Result<()> {
-        if !matches!(self.policy, SyncPolicy::Group) {
-            return Ok(());
-        }
         let t = self.obs_timer();
         let result = self.wait_durable_group(lsn);
         self.obs_record(t, |o| &o.wal_commit_wait_ns);
         result
     }
 
-    /// [`Wal::wait_durable`] under [`SyncPolicy::Group`]: wait for (or
-    /// lead) the flush that moves the durable watermark to `lsn`.
+    /// [`Wal::wait_durable`] without its timer: wait for (or lead) the
+    /// flush that moves the durable watermark to `lsn`.
     fn wait_durable_group(&self, lsn: u64) -> Result<()> {
         let mut state = self.lock();
         loop {
@@ -1237,11 +1206,11 @@ impl Wal {
         }
     }
 
-    /// Write (and, when `sync`, fsync) everything buffered. The state
-    /// lock is held and no leader is in flight. A clean log — nothing
-    /// buffered, nothing written since the last fsync — costs no
-    /// syscall and counts no sync.
-    fn flush_locked(&self, state: &mut LogState, sync: bool) -> Result<()> {
+    /// Write and fsync everything buffered. The state lock is held and
+    /// no leader is in flight. A clean log — nothing buffered, nothing
+    /// written since the last fsync — costs no syscall and counts no
+    /// sync.
+    fn flush_locked(&self, state: &mut LogState) -> Result<()> {
         debug_assert!(!state.syncing);
         if !state.buf.is_empty() {
             let buf = std::mem::take(&mut state.buf);
@@ -1253,7 +1222,7 @@ impl Wal {
             // The log lock is held, so chunks ship in file order.
             self.ship(state.appended_lsn, &buf);
         }
-        if sync && state.durable_lsn < state.appended_lsn {
+        if state.durable_lsn < state.appended_lsn {
             let t = self.obs_timer();
             if let Err(e) = state.file.sync_data() {
                 state.failed = Some(e.to_string());
@@ -1265,23 +1234,6 @@ impl Wal {
             self.durable.notify_all();
         }
         Ok(())
-    }
-
-    /// Force the buffered records onto disk. This is the
-    /// flush-before-ack hook: under [`SyncPolicy::OsOnly`] it upgrades
-    /// best-effort writes to durable ones. Under [`SyncPolicy::Group`] it
-    /// returns immediately: every *committed* write run already waited
-    /// for its newest record ([`Wal::wait_durable`]), and sweeping the
-    /// buffer here would steal records out of in-flight group-commit
-    /// convoys — extra fsyncs that shrink exactly the batches group
-    /// commit exists to build.
-    pub fn flush(&self) -> Result<()> {
-        if !matches!(self.policy, SyncPolicy::OsOnly) {
-            return Ok(());
-        }
-        let mut state = self.lock_idle();
-        state.check()?;
-        self.flush_locked(&mut state, true)
     }
 
     /// Checkpoint phase 1: flush and rotate the log so the snapshot
@@ -1296,7 +1248,7 @@ impl Wal {
     /// stays in LSN order), and only then truncated.
     pub fn rotate_begin(&self) -> Result<()> {
         let mut state = self.lock_idle();
-        self.flush_locked(&mut state, true)?;
+        self.flush_locked(&mut state)?;
         let live = log_path(&self.dir);
         let rotated = rotated_path(&self.dir);
         if rotated.exists() {
@@ -1414,7 +1366,7 @@ mod tests {
     fn replicated_frames_are_refused_unless_above_the_newest_frame() {
         let dir = std::env::temp_dir().join(format!("pscache-wal-order-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let (wal, _) = Wal::open(&dir, SyncPolicy::Group, 0).unwrap();
+        let (wal, _) = Wal::open(&dir, 0).unwrap();
         let frame = |lsn| encode_remove(lsn, "T", "k");
         wal.append_frame(3, &frame(3)).unwrap();
         // A repeat or a straggler could be acknowledged without ever

@@ -188,23 +188,18 @@ pub(crate) fn handle_request<S: NotificationSink + Send + 'static>(
 ) -> CacheReply {
     let mut run = ctx.cache.write_run();
     let reply = stage_request(ctx, &mut run, registered, make_sink, request, token);
-    commit_run(ctx.cache, &mut run).unwrap_or(reply)
+    commit_run(&mut run).unwrap_or(reply)
 }
 
 /// Flush-before-ack, once per run: wait for everything `run` staged to
-/// be durable (under `SyncPolicy::OsOnly` the explicit flush is what
-/// upgrades the writes to durable) before any reply that moved its
-/// `awaiting` count reaches the client. `None` when they may; on failure,
-/// the reply that replaces each of them. A run that awaits nothing
-/// costs nothing.
-pub(crate) fn commit_run(cache: &Cache, run: &mut WriteRun<'_>) -> Option<CacheReply> {
+/// be durable before any reply that moved its `awaiting` count reaches
+/// the client. `None` when they may; on failure, the reply that
+/// replaces each of them. A run that awaits nothing costs nothing.
+pub(crate) fn commit_run(run: &mut WriteRun<'_>) -> Option<CacheReply> {
     if run.awaiting() == 0 {
         return None;
     }
-    run.commit()
-        .and_then(|()| cache.flush_wal())
-        .err()
-        .map(error_to_reply)
+    run.commit().err().map(error_to_reply)
 }
 
 /// Execute one decoded request up to, but not including, its durability
@@ -252,20 +247,9 @@ pub(crate) fn stage_request<S: NotificationSink + Send + 'static>(
         Request::Metrics => CacheReply::Metrics {
             snapshot: ctx.cache.obs().snapshot(),
         },
-        Request::Execute { command } => match ctx
-            .cache
-            .execute_with_token(&command, token)
-            .and_then(|response| {
-                // Flush-before-ack for the SQL surface too: an insert or
-                // create arriving as text (a write run of one inside the
-                // cache) must be as durable at ack time as one arriving
-                // through the typed fast path below. Selects skip the
-                // flush — they wrote nothing.
-                if !matches!(response, Response::Rows(_)) {
-                    ctx.cache.flush_wal()?;
-                }
-                Ok(response)
-            }) {
+        // An insert arriving as text is a write run of one inside the
+        // cache, durable before `execute_with_token` returns.
+        Request::Execute { command } => match ctx.cache.execute_with_token(&command, token) {
             Ok(response) => response_to_reply(response),
             Err(e) => error_to_reply(e),
         },

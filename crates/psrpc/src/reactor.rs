@@ -473,7 +473,6 @@ impl ReactorServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        let _ = self.cache.flush_wal();
     }
 }
 
@@ -534,7 +533,7 @@ fn settle(
     held: &mut Vec<Held>,
     deliver: bool,
 ) {
-    let failure = commit_run(ctx.cache, run);
+    let failure = commit_run(run);
     if held.is_empty() {
         return;
     }

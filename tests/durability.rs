@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use gapl::event::Scalar;
 use pscache::repl::proto::{self, FollowerMsg, PrimaryMsg};
 use pscache::wal::{count_complete_records, log_path, split_frames};
-use pscache::{Cache, CacheBuilder, IdemToken, Query, SyncPolicy};
+use pscache::{Cache, CacheBuilder, IdemToken, Query};
 
 /// A fresh, empty scratch directory under the system temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -279,32 +279,23 @@ fn ephemeral_streams_are_empty_after_recovery() {
 }
 
 #[test]
-fn every_sync_policy_recovers_acknowledged_writes() {
-    for (name, policy) in [("group", SyncPolicy::Group), ("osonly", SyncPolicy::OsOnly)] {
-        let dir = scratch(&format!("policy-{name}"));
-        {
-            let cache = CacheBuilder::new()
-                .durability(&dir)
-                .sync_policy(policy)
-                .open()
-                .unwrap();
+fn group_commit_recovers_acknowledged_writes() {
+    let dir = scratch("acked-writes");
+    {
+        let cache = CacheBuilder::new().durability(&dir).open().unwrap();
+        cache
+            .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+            .unwrap();
+        for (k, v) in [("a", 1), ("b", 2)] {
             cache
-                .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+                .insert("KV", vec![Scalar::Str(k.into()), Scalar::Int(v)])
                 .unwrap();
-            for (k, v) in [("a", 1), ("b", 2)] {
-                cache
-                    .insert("KV", vec![Scalar::Str(k.into()), Scalar::Int(v)])
-                    .unwrap();
-            }
-            // OsOnly defers the disk flush to an explicit durability
-            // point (the RPC server's flush-before-ack, or this).
-            cache.flush_wal().unwrap();
         }
-        let cache = Cache::recover(&dir).unwrap();
-        assert_eq!(cache.table_len("KV").unwrap(), 2, "policy {name}");
-        drop(cache);
-        let _ = fs::remove_dir_all(&dir);
     }
+    let cache = Cache::recover(&dir).unwrap();
+    assert_eq!(cache.table_len("KV").unwrap(), 2);
+    drop(cache);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -648,36 +639,47 @@ fn a_follower_resumes_a_holed_legacy_directory_from_the_contiguous_point() {
 
 #[test]
 fn checkpointing_a_clean_log_issues_no_fsync() {
-    for (name, policy, dirty_syncs) in [
-        // The insert's own group commit already fsynced its record.
-        ("group", SyncPolicy::Group, 0),
-        // The record was handed to the OS but never fsynced: the first
-        // checkpoint must do it.
-        ("osonly", SyncPolicy::OsOnly, 1),
-    ] {
-        let dir = scratch(&format!("idle-checkpoint-{name}"));
-        let cache = CacheBuilder::new()
-            .durability(&dir)
-            .sync_policy(policy)
-            .open()
-            .unwrap();
-        cache
-            .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
-            .unwrap();
-        cache
-            .insert("KV", vec![Scalar::Str("a".into()), Scalar::Int(1)])
-            .unwrap();
-        let syncs = || cache.wal_stats().unwrap().syncs;
-        let before = syncs();
-        cache.checkpoint().unwrap();
-        assert_eq!(syncs() - before, dirty_syncs, "policy {name}, first");
-        cache.checkpoint().unwrap();
-        assert_eq!(syncs() - before, dirty_syncs, "policy {name}, idle");
-        assert_eq!(cache.wal_stats().unwrap().checkpoints, 2);
-        drop(cache);
-        assert_eq!(Cache::recover(&dir).unwrap().table_len("KV").unwrap(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
+    let dir = scratch("idle-checkpoint");
+    let cache = CacheBuilder::new().durability(&dir).open().unwrap();
+    cache
+        .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+        .unwrap();
+    let syncs = || cache.wal_stats().unwrap().syncs;
+
+    // Clean: the insert's own group commit already fsynced its record.
+    cache
+        .insert("KV", vec![Scalar::Str("a".into()), Scalar::Int(1)])
+        .unwrap();
+    let before = syncs();
+    cache.checkpoint().unwrap();
+    assert_eq!(syncs() - before, 0, "clean log, first checkpoint");
+    cache.checkpoint().unwrap();
+    assert_eq!(syncs() - before, 0, "clean log, idle checkpoint");
+
+    // Dirty: a record staged by an uncommitted run is buffered but not
+    // fsynced, so the first checkpoint must sync it — once — and the
+    // run's commit then finds it durable already.
+    let mut run = cache.write_run();
+    run.insert(
+        "KV",
+        vec![Scalar::Str("b".into()), Scalar::Int(2)],
+        false,
+        None,
+    )
+    .unwrap();
+    let before = syncs();
+    cache.checkpoint().unwrap();
+    assert_eq!(syncs() - before, 1, "dirty log, first checkpoint");
+    cache.checkpoint().unwrap();
+    assert_eq!(syncs() - before, 1, "dirty log, idle checkpoint");
+    run.commit().unwrap();
+    assert_eq!(syncs() - before, 1, "the run's commit after the checkpoint");
+    drop(run);
+
+    assert_eq!(cache.wal_stats().unwrap().checkpoints, 4);
+    drop(cache);
+    assert_eq!(Cache::recover(&dir).unwrap().table_len("KV").unwrap(), 2);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gapl::event::Scalar;
-use pscache::{Cache, CacheBuilder, ClientPolicy, IdemToken, SyncPolicy};
+use pscache::{Cache, CacheBuilder, ClientPolicy, IdemToken};
 use psrpc::client::CacheClient;
 use psrpc::framing;
 use psrpc::message::{CacheReply, ClientMessage, Request, ServerMessage};
@@ -53,11 +53,10 @@ fn scratch(name: &str) -> PathBuf {
 /// A durable group-commit cache on a manual clock (both servers then
 /// stamp identical timestamps) holding a durable `KV` and an in-memory
 /// stream `S`.
-fn durable_cache(dir: &Path, policy: SyncPolicy) -> Cache {
+fn durable_cache(dir: &Path) -> Cache {
     let cache = CacheBuilder::new()
         .manual_clock()
         .durability(dir)
-        .sync_policy(policy)
         .open()
         .unwrap();
     cache.execute(KV).unwrap();
@@ -145,7 +144,7 @@ fn on_both_servers(
             .collect()
     };
     let oracle_dir = scratch(&format!("{name}-oracle"));
-    let oracle_cache = durable_cache(&oracle_dir, SyncPolicy::Group);
+    let oracle_cache = durable_cache(&oracle_dir);
     let oracle = OracleServer::bind(oracle_cache.clone());
     let oracle_bytes = run("blocking", &oracle_cache, oracle.local_addr());
     oracle.shutdown();
@@ -153,7 +152,7 @@ fn on_both_servers(
     let _ = fs::remove_dir_all(&oracle_dir);
 
     let dir = scratch(name);
-    let cache = durable_cache(&dir, SyncPolicy::Group);
+    let cache = durable_cache(&dir);
     let reactor = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let reactor_bytes = run("reactor", &cache, reactor.local_addr());
 
@@ -194,7 +193,7 @@ fn a_pipelined_flood_is_acked_in_order_behind_the_watermark_in_few_flushes() {
     // reply was.
     let (base, setup) = {
         let dir = scratch("flood-base");
-        let cache = durable_cache(&dir, SyncPolicy::Group);
+        let cache = durable_cache(&dir);
         let fresh = (cache.commit_lsn(), cache.wal_stats().unwrap());
         cache.shutdown();
         let _ = fs::remove_dir_all(&dir);
@@ -338,7 +337,7 @@ fn every_acked_row_and_token_of_a_pipelined_flood_survives_a_crash() {
 fn a_reader_never_counts_a_row_the_durable_watermark_does_not_cover() {
     const ROWS: i64 = 3_000;
     let dir = scratch("visible");
-    let cache = durable_cache(&dir, SyncPolicy::Group);
+    let cache = durable_cache(&dir);
     let (base, setup) = (cache.commit_lsn(), cache.wal_stats().unwrap());
     let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
@@ -420,7 +419,6 @@ fn an_eviction_mid_run_commits_the_run_and_returns_its_in_flight_slots() {
     let dir = scratch("evicted");
     let cache = CacheBuilder::new()
         .durability(&dir)
-        .sync_policy(SyncPolicy::Group)
         .rpc_workers(1)
         .client_policy(ClientPolicy {
             max_outbox_bytes: 4 * 1024,
@@ -510,54 +508,52 @@ fn an_eviction_mid_run_commits_the_run_and_returns_its_in_flight_slots() {
 
 /// The dedup path's flush-before-ack: a tokened insert is staged in a
 /// `WriteRun` that has not committed — its record is in the log's
-/// buffer (group commit) or the page cache (`OsOnly`), not on disk —
-/// when the same token arrives on another connection. The retry's
-/// reply must not exist before the original's record is on disk, so by
-/// the time it has been read the log has been fsynced. (The retry may
-/// lead that flush itself: group commit elects whoever waits first.)
+/// buffer, not on disk — when the same token arrives on another
+/// connection. The retry's reply must not exist before the original's
+/// record is on disk, so by the time it has been read the log has been
+/// fsynced. (The retry may lead that flush itself: group commit elects
+/// whoever waits first.)
 #[test]
 fn a_retry_is_never_acked_before_the_original_record_is_durable() {
-    for policy in [SyncPolicy::Group, SyncPolicy::OsOnly] {
-        let dir = scratch(&format!("dedup-{policy:?}"));
-        let cache = durable_cache(&dir, policy);
-        let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
-        let token = IdemToken {
-            client_id: CLIENT_ID,
-            seq: 7,
-        };
-        let values = || vec![Scalar::from("k"), Scalar::Int(1)];
+    let dir = scratch("dedup");
+    let cache = durable_cache(&dir);
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let token = IdemToken {
+        client_id: CLIENT_ID,
+        seq: 7,
+    };
+    let values = || vec![Scalar::from("k"), Scalar::Int(1)];
 
-        let mut run = cache.write_run();
-        let (replaced, tstamp) = run.insert("KV", values(), false, Some(token)).unwrap();
-        assert_eq!(run.awaiting(), 1);
-        let synced = cache.wal_stats().unwrap().syncs;
+    let mut run = cache.write_run();
+    let (replaced, tstamp) = run.insert("KV", values(), false, Some(token)).unwrap();
+    assert_eq!(run.awaiting(), 1);
+    let synced = cache.wal_stats().unwrap().syncs;
 
-        let retry = std::thread::spawn(move || {
-            let client = CacheClient::connect(addr).unwrap();
-            client
-                .begin_request_with_token(
-                    Request::Insert {
-                        table: "KV".into(),
-                        values: values(),
-                        upsert: false,
-                    },
-                    Some((token.client_id, token.seq)),
-                )
-                .unwrap()
-                .wait()
-        });
-        let reply = retry.join().unwrap().unwrap();
-        assert_eq!(reply, CacheReply::Inserted { replaced, tstamp });
-        assert!(
-            cache.wal_stats().unwrap().syncs > synced,
-            "{policy:?}: the retry was acknowledged with the original's record not on disk"
-        );
-        run.commit().unwrap();
-        drop(run);
-        assert_eq!(cache.table_len("KV").unwrap(), 1);
-        server.shutdown();
-        cache.shutdown();
-        let _ = fs::remove_dir_all(&dir);
-    }
+    let retry = std::thread::spawn(move || {
+        let client = CacheClient::connect(addr).unwrap();
+        client
+            .begin_request_with_token(
+                Request::Insert {
+                    table: "KV".into(),
+                    values: values(),
+                    upsert: false,
+                },
+                Some((token.client_id, token.seq)),
+            )
+            .unwrap()
+            .wait()
+    });
+    let reply = retry.join().unwrap().unwrap();
+    assert_eq!(reply, CacheReply::Inserted { replaced, tstamp });
+    assert!(
+        cache.wal_stats().unwrap().syncs > synced,
+        "the retry was acknowledged with the original's record not on disk"
+    );
+    run.commit().unwrap();
+    drop(run);
+    assert_eq!(cache.table_len("KV").unwrap(), 1);
+    server.shutdown();
+    cache.shutdown();
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -1,19 +1,21 @@
 //! The lock-free read path and the drop-table seams around it.
 //!
-//! `select` now evaluates against an epoch-published table snapshot
+//! `select` evaluates against an epoch-published table snapshot
 //! without holding the table mutex. These tests pin down the seams
-//! that conversion exposed: the legacy mutex path must stay
-//! observationally identical (differential check), and dropping a
-//! table must evict every cache keyed by its name — compiled plans
-//! in the SQL-text plan cache and the per-topic dispatch index — so
-//! a recreated table with a different schema can never be served by
-//! a stale artifact.
+//! around it: every read must equal the query plan run over a
+//! test-side model of the mutation history (differential check), and
+//! dropping a table must evict every cache keyed by its name —
+//! compiled plans in the SQL-text plan cache and the per-topic
+//! dispatch index — so a recreated table with a different schema can
+//! never be served by a stale artifact.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
-use gapl::event::Scalar;
+use gapl::event::{Scalar, Tuple};
+use pscache::sql::{self, Command};
 use pscache::{Cache, CacheBuilder, Error, Query};
 
 /// A fresh, empty scratch directory under the system temp dir.
@@ -33,47 +35,50 @@ fn dump(cache: &Cache, table: &str) -> Vec<(Vec<Scalar>, u64)> {
         .collect()
 }
 
-/// The snapshot read path and the legacy mutex read path answer every
-/// query identically — plain scans, since windows, predicates,
-/// aggregates, and point lookups — over the same mutation history.
-#[test]
-fn snapshot_and_mutex_read_paths_are_observationally_identical() {
-    let build = |mutex: bool| {
-        let cache = CacheBuilder::new()
-            .manual_clock()
-            .mutex_read_path(mutex)
-            .build();
-        cache
-            .execute("create table Flows (srcip varchar(16), nbytes integer)")
-            .unwrap();
-        cache
-            .execute("create persistenttable KV (k varchar(16), v integer)")
-            .unwrap();
-        for i in 0..64i64 {
-            cache.manual_clock().unwrap().advance(10);
-            cache
-                .insert(
-                    "Flows",
-                    vec![
-                        Scalar::Str(format!("10.0.0.{}", i % 8).into()),
-                        Scalar::Int(i),
-                    ],
-                )
-                .unwrap();
-            cache
-                .upsert(
-                    "KV",
-                    vec![Scalar::Str(format!("k{}", i % 16).into()), Scalar::Int(i)],
-                )
-                .unwrap();
-            if i % 7 == 0 {
-                cache.remove("KV", &format!("k{}", i % 16)).unwrap();
-            }
+/// A test-side model of a mutation history: a stream is its rows in
+/// insertion order; a relation is its live rows, with an upserted key
+/// moved to the end and a removed key dropped. It shares no storage
+/// code with the cache, so a storage bug cannot hide on both sides.
+struct Model {
+    flows: Vec<Tuple>,
+    kv: Vec<Tuple>,
+}
+
+impl Model {
+    fn rows(&self, table: &str) -> &[Tuple] {
+        match table {
+            "Flows" => &self.flows,
+            "KV" => &self.kv,
+            other => panic!("the model has no table {other}"),
         }
-        cache
+    }
+
+    fn kv_position(&self, key: &str) -> Option<usize> {
+        let key = Scalar::Str(key.into());
+        self.kv.iter().position(|t| t.values()[0] == key)
+    }
+}
+
+/// Every read the cache serves — plan-cached `execute`, ad hoc
+/// `select`, point `lookup` and `table_len` — equals the plan
+/// (`Query::evaluate`) run over the model, at several points of one
+/// mutation history: plain scans, since windows, predicates,
+/// aggregates and a relation whose keys are upserted and removed.
+#[test]
+fn every_read_matches_the_plan_over_a_model_of_the_history() {
+    let cache = CacheBuilder::new().manual_clock().build();
+    cache
+        .execute("create table Flows (srcip varchar(16), nbytes integer)")
+        .unwrap();
+    cache
+        .execute("create persistenttable KV (k varchar(16), v integer)")
+        .unwrap();
+    let flows_schema = cache.schema("Flows").unwrap();
+    let kv_schema = cache.schema("KV").unwrap();
+    let mut model = Model {
+        flows: Vec::new(),
+        kv: Vec::new(),
     };
-    let snap = build(false);
-    let mutex = build(true);
 
     let queries = [
         "select * from Flows",
@@ -82,27 +87,72 @@ fn snapshot_and_mutex_read_paths_are_observationally_identical() {
         "select * from Flows since 400",
         "select * from KV",
         "select k, v from KV where v > 40 order by k",
+        "select * from KV since 300",
     ];
-    for sql in queries {
-        let a = snap.execute(sql).unwrap().rows().unwrap();
-        let b = mutex.execute(sql).unwrap().rows().unwrap();
-        assert_eq!(a, b, "read paths diverge on {sql:?}");
+    let check = |model: &Model| {
+        for sql in queries {
+            let Command::Select(query) = sql::parse(sql).unwrap() else {
+                panic!("{sql:?} is not a select");
+            };
+            let schema = cache.schema(query.table()).unwrap();
+            let expected = query.evaluate(&schema, model.rows(query.table())).unwrap();
+            let cached = cache.execute(sql).unwrap().rows().unwrap();
+            assert_eq!(
+                cached, expected,
+                "execute diverges from the model on {sql:?}"
+            );
+            let ad_hoc = cache.select(&query).unwrap();
+            assert_eq!(
+                ad_hoc, expected,
+                "select diverges from the model on {sql:?}"
+            );
+        }
+        for k in 0..16 {
+            let key = format!("k{k}");
+            let expected = model.kv_position(&key).map(|p| model.kv[p].clone());
+            assert_eq!(
+                cache.lookup("KV", &key).unwrap(),
+                expected,
+                "lookup diverges on {key:?}"
+            );
+        }
+        assert_eq!(cache.lookup("KV", "missing").unwrap(), None);
+        assert_eq!(cache.table_len("Flows").unwrap(), model.flows.len());
+        assert_eq!(cache.table_len("KV").unwrap(), model.kv.len());
+    };
+
+    for i in 0..64i64 {
+        cache.manual_clock().unwrap().advance(10);
+        let row = vec![
+            Scalar::Str(format!("10.0.0.{}", i % 8).into()),
+            Scalar::Int(i),
+        ];
+        let tstamp = cache.insert("Flows", row.clone()).unwrap();
+        model
+            .flows
+            .push(Tuple::new(Arc::clone(&flows_schema), row, tstamp).unwrap());
+
+        let key = format!("k{}", i % 16);
+        let row = vec![Scalar::Str(key.as_str().into()), Scalar::Int(i)];
+        let tstamp = cache.upsert("KV", row.clone()).unwrap();
+        if let Some(p) = model.kv_position(&key) {
+            model.kv.remove(p);
+        }
+        model
+            .kv
+            .push(Tuple::new(Arc::clone(&kv_schema), row, tstamp).unwrap());
+        if i % 7 == 0 {
+            let removed = cache.remove("KV", &key).unwrap();
+            let expected = model.kv_position(&key).map(|p| model.kv.remove(p));
+            assert_eq!(
+                removed, expected,
+                "remove of {key:?} returned the wrong row"
+            );
+        }
+        if i % 8 == 7 {
+            check(&model);
+        }
     }
-    for key in ["k0", "k3", "k15", "missing"] {
-        assert_eq!(
-            snap.lookup("KV", key).unwrap(),
-            mutex.lookup("KV", key).unwrap(),
-            "lookup diverges on {key:?}"
-        );
-    }
-    assert_eq!(
-        snap.table_len("Flows").unwrap(),
-        mutex.table_len("Flows").unwrap()
-    );
-    assert_eq!(
-        snap.table_len("KV").unwrap(),
-        mutex.table_len("KV").unwrap()
-    );
 }
 
 /// Dropping a table evicts its compiled plans: recreating the same

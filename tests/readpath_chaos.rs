@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gapl::event::Scalar;
-use pscache::{Cache, CacheBuilder, Query, SyncPolicy};
+use pscache::{Cache, CacheBuilder, Query};
 
 /// A fresh, empty scratch directory under the system temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -80,7 +80,6 @@ fn no_reader_observes_a_row_that_recovery_loses() {
     let dir = scratch("flush-before-visible");
     let cache = CacheBuilder::new()
         .durability(&dir)
-        .sync_policy(SyncPolicy::Group)
         .checkpoint_every(1_000_000) // only the chaos loop checkpoints
         .open()
         .unwrap();
@@ -181,7 +180,6 @@ fn follower_reads_stay_monotone_across_promotion() {
     let dir_p = scratch("promote-primary");
     let primary = CacheBuilder::new()
         .durability(&dir_p)
-        .sync_policy(SyncPolicy::Group)
         .replicate_to("127.0.0.1:0")
         .open()
         .unwrap();

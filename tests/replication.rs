@@ -602,14 +602,9 @@ fn graceful_server_shutdown_drains_workers_and_flushes_the_wal() {
     use psrpc::{CacheClient, ReactorServer};
 
     let dir = scratch("graceful-shutdown");
-    // OsOnly: inserts are acked after a server-side flush, and the
-    // *shutdown* flush is the last line of defence for anything
-    // buffered after the final ack.
-    let cache = CacheBuilder::new()
-        .durability(&dir)
-        .sync_policy(pscache::SyncPolicy::OsOnly)
-        .open()
-        .unwrap();
+    // Every insert is acked only after its group commit reached the
+    // disk, so shutting down mid-stream may not lose any of them.
+    let cache = CacheBuilder::new().durability(&dir).open().unwrap();
     cache
         .execute("create persistenttable KV (k varchar(16) primary key, v integer)")
         .unwrap();
