@@ -131,7 +131,6 @@ pub struct CacheBuilder {
     follow: Option<String>,
     client_policy: ClientPolicy,
     token_history: usize,
-    metrics: bool,
     slow_op_threshold: Duration,
 }
 
@@ -159,19 +158,8 @@ impl CacheBuilder {
             follow: None,
             client_policy: ClientPolicy::default(),
             token_history: DEFAULT_TOKEN_HISTORY,
-            metrics: true,
             slow_op_threshold: crate::config::DEFAULT_SLOW_OP_THRESHOLD,
         }
-    }
-
-    /// Enable or disable the observability registry (default enabled).
-    /// Disabling removes even the clock reads from the instrumented hot
-    /// paths — every record site gates on one relaxed bool load — for
-    /// deployments that want the last ~5% (see `BENCH_obs.json`, whose
-    /// CI floor proves instrumentation costs ≤ 5% when *enabled*).
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
     }
 
     /// Operations whose end-to-end RPC service time (queue-wait +
@@ -321,7 +309,7 @@ impl CacheBuilder {
     /// opened or its contents cannot be replayed (unreadable snapshot,
     /// undecodable record that passed its checksum).
     pub fn open(self) -> Result<Cache> {
-        let obs = Arc::new(Obs::new(self.metrics, self.slow_op_threshold));
+        let obs = Arc::new(Obs::new(self.slow_op_threshold));
         let is_follower = self.follow.is_some();
         if self.replicate_to.is_some() && self.durability.is_none() {
             return Err(Error::repl(
@@ -330,8 +318,7 @@ impl CacheBuilder {
         }
         let (wal, mut recovery) = match &self.durability {
             Some(dir) => {
-                let (wal, recovery) = Wal::open(dir, self.checkpoint_every)?;
-                wal.set_obs(Arc::clone(&obs));
+                let (wal, recovery) = Wal::open(dir, self.checkpoint_every, Arc::clone(&obs))?;
                 (Some(Arc::new(wal)), Some(recovery))
             }
             None => (None, None),
@@ -751,9 +738,7 @@ impl Cache {
     /// The observability registry (latency histograms, counters and the
     /// slow-op log — see [`crate::obs`]). The RPC layer records request
     /// stage timings into it and serves its snapshot over
-    /// `Request::Metrics`; when built with
-    /// [`CacheBuilder::metrics`]`(false)` the registry is present but
-    /// inert.
+    /// `Request::Metrics`.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.inner.obs
     }
@@ -1435,12 +1420,10 @@ impl Cache {
         // Counted here — the single choke point — so explicit
         // unregistrations and reactor connection teardowns both land in
         // the same observable (surfaced in `HealthReport`).
-        if self.inner.obs.enabled() {
-            self.inner
-                .obs
-                .automaton_unregistrations
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.inner
+            .obs
+            .automaton_unregistrations
+            .fetch_add(1, Ordering::Relaxed);
         // 1. Out of the predicate indexes: publishers resolving the topic
         //    from now on will not select this automaton.
         for (td, _) in &entry.baselines {
@@ -2378,7 +2361,7 @@ impl CacheInner {
         // One clock read per publish batch: every event of the batch
         // carries the same enqueue instant, which the owning worker
         // subtracts at pickup to record dispatch queue latency.
-        let enqueued = self.obs.enabled().then(Instant::now);
+        let enqueued = Instant::now();
         for tuple in tuples {
             index.select_into(tuple, &mut selected);
             for id in selected.drain(..) {
@@ -2406,13 +2389,11 @@ impl CacheInner {
     /// selective predicate the win over clone-the-window is large even
     /// single-threaded, before any reader parallelism.
     pub(crate) fn select(&self, query: &Query) -> Result<ResultSet> {
-        let t = self.obs.enabled().then(Instant::now);
+        let t = Instant::now();
         let snap = self.tables.get(query.table())?.snapshot();
         let plan = QueryPlan::compile(query, snap.schema())?;
         let result = plan.evaluate_rows(snap.range(query.since_tstamp()));
-        if let Some(t) = t {
-            self.obs.select_ns.record_duration(t.elapsed());
-        }
+        self.obs.select_ns.record_duration(t.elapsed());
         result
     }
 
@@ -2421,13 +2402,11 @@ impl CacheInner {
     /// snapshot generations of one table instance, so the steady state
     /// is: one atomic snapshot load, one pointer compare, evaluate.
     pub(crate) fn select_cached(&self, entry: &PlanEntry) -> Result<ResultSet> {
-        let t = self.obs.enabled().then(Instant::now);
+        let t = Instant::now();
         let snap = self.tables.get(entry.query.table())?.snapshot();
         let plan = entry.plan_for(snap.schema())?;
         let result = plan.evaluate_rows(snap.range(entry.query.since_tstamp()));
-        if let Some(t) = t {
-            self.obs.select_ns.record_duration(t.elapsed());
-        }
+        self.obs.select_ns.record_duration(t.elapsed());
         result
     }
 

@@ -16,8 +16,9 @@
 //!   saturate into it rather than being dropped.
 //! * [`Obs`] — the per-cache registry: a fixed, statically named set of
 //!   histograms and counters (see [`Obs::snapshot`] for the catalog)
-//!   plus the slow-op log. Construct via [`Obs::new`]; when built
-//!   disabled every `record` degenerates to one relaxed bool load.
+//!   plus the slow-op log. Construct via [`Obs::new`]; every cache
+//!   records into one. Recording a value, a counter or a below-threshold
+//!   RPC allocates nothing.
 //! * [`SlowOpLog`] — a bounded ring of the most recent operations whose
 //!   end-to-end service time exceeded
 //!   [`CacheBuilder::slow_op_threshold`](crate::CacheBuilder::slow_op_threshold),
@@ -34,7 +35,7 @@
 //! nanosecond integers (metric names end in `_ns`) so the text format
 //! round-trips exactly.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -312,7 +313,6 @@ impl SlowOpLog {
 /// here. The metric set is fixed at compile time — no name hashing on
 /// the hot path, just field access plus `fetch_add`.
 pub struct Obs {
-    enabled: AtomicBool,
     slow_op_threshold_ns: u64,
     /// `[kind][stage]` — RPC service time split per request type.
     rpc: [[LatencyHistogram; 3]; REQ_KINDS],
@@ -341,11 +341,10 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Build a registry. A disabled registry keeps every `record` call
-    /// a single relaxed load.
-    pub fn new(enabled: bool, slow_op_threshold: Duration) -> Obs {
+    /// Build a registry whose slow-op log keeps operations that took at
+    /// least `slow_op_threshold`.
+    pub fn new(slow_op_threshold: Duration) -> Obs {
         Obs {
-            enabled: AtomicBool::new(enabled),
             slow_op_threshold_ns: u64::try_from(slow_op_threshold.as_nanos()).unwrap_or(u64::MAX),
             rpc: std::array::from_fn(|_| std::array::from_fn(|_| LatencyHistogram::default())),
             rpc_requests: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -362,20 +361,10 @@ impl Obs {
         }
     }
 
-    /// Whether instrumentation is live. Callers gate `Instant::now()`
-    /// pairs on this so `CacheBuilder::metrics(false)` removes even the
-    /// clock reads from the hot paths.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Count one completed request of `kind`.
     #[inline]
     pub fn count_request(&self, kind: ReqKind) {
-        if self.enabled() {
-            self.rpc_requests[kind as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        self.rpc_requests[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Completed requests of `kind` so far.
@@ -386,9 +375,6 @@ impl Obs {
     /// Record a completed RPC's stage breakdown and, when it crossed
     /// the slow-op threshold, append it to the slow-op log.
     pub fn record_rpc(&self, op: OpTrace) {
-        if !self.enabled() {
-            return;
-        }
         let k = op.kind as usize;
         self.rpc[k][0].record(op.queue_ns);
         self.rpc[k][1].record(op.exec_ns);
@@ -396,14 +382,6 @@ impl Obs {
         if op.total_ns() >= self.slow_op_threshold_ns {
             self.slow_ops_recorded.fetch_add(1, Ordering::Relaxed);
             self.slow_ops.push(op);
-        }
-    }
-
-    /// Record a duration into `hist` only when instrumentation is on.
-    #[inline]
-    pub fn record_if_enabled(&self, hist: &LatencyHistogram, d: Duration) {
-        if self.enabled() {
-            hist.record_duration(d);
         }
     }
 
@@ -745,27 +723,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let obs = Obs::new(false, Duration::from_millis(1));
-        obs.count_request(ReqKind::Insert);
-        obs.record_rpc(OpTrace {
-            trace_id: 9,
-            kind: ReqKind::Insert,
-            table: None,
-            queue_ns: 1,
-            exec_ns: 1,
-            flush_ns: 1,
-        });
-        obs.record_if_enabled(&obs.select_ns, Duration::from_secs(1));
-        let snap = obs.snapshot();
-        assert!(snap.histograms.is_empty());
-        assert_eq!(snap.counter("slow_ops_recorded"), Some(0));
-        assert_eq!(obs.requests(ReqKind::Insert), 0);
-    }
-
-    #[test]
     fn slow_ops_cross_the_threshold_into_a_bounded_ring() {
-        let obs = Obs::new(true, Duration::from_micros(10));
+        let obs = Obs::new(Duration::from_micros(10));
         for i in 0..SLOW_OP_CAPACITY as u64 + 5 {
             obs.record_rpc(OpTrace {
                 trace_id: i,
@@ -801,7 +760,7 @@ mod tests {
     }
 
     fn busy_snapshot() -> MetricsSnapshot {
-        let obs = Obs::new(true, Duration::from_secs(1));
+        let obs = Obs::new(Duration::from_secs(1));
         obs.count_request(ReqKind::Execute);
         obs.count_request(ReqKind::Execute);
         obs.count_request(ReqKind::Insert);

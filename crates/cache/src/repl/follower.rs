@@ -173,17 +173,15 @@ fn session(
             }
             PrimaryMsg::Frames(bytes) => {
                 let applied = cache.repl_apply_frames(&bytes)?;
-                if cache.obs.enabled() {
-                    // How far behind the primary's advertised commit
-                    // watermark this replica still is after the apply —
-                    // recorded in *records*, not nanoseconds, into its
-                    // own histogram.
-                    let heard = shared.primary_commit_lsn.load(Ordering::Acquire);
-                    cache
-                        .obs
-                        .repl_apply_lag
-                        .record(heard.saturating_sub(applied));
-                }
+                // How far behind the primary's advertised commit
+                // watermark this replica still is after the apply —
+                // recorded in *records*, not nanoseconds, into its own
+                // histogram.
+                let heard = shared.primary_commit_lsn.load(Ordering::Acquire);
+                cache
+                    .obs
+                    .repl_apply_lag
+                    .record(heard.saturating_sub(applied));
                 FollowerMsg::Ack { lsn: applied }.write(&mut writer)?;
             }
             PrimaryMsg::Heartbeat { commit_lsn } => {

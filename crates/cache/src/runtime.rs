@@ -138,10 +138,9 @@ pub(crate) enum WorkerMsg {
         topic: Arc<str>,
         /// The tuple itself.
         tuple: Tuple,
-        /// When the publisher enqueued the event (`None` when the
-        /// observability registry is disabled); the worker subtracts it
-        /// at pickup to record dispatch queue latency.
-        enqueued: Option<Instant>,
+        /// When the publisher enqueued the event; the worker subtracts
+        /// it at pickup to record dispatch queue latency.
+        enqueued: Instant,
     },
     /// Drop the automaton's VM; acknowledge once every earlier event in
     /// the mailbox has been processed.
@@ -292,9 +291,7 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
                 tuple,
                 enqueued,
             } => {
-                if let Some(at) = enqueued {
-                    obs.record_if_enabled(&obs.dispatch_queue_ns, at.elapsed());
-                }
+                obs.dispatch_queue_ns.record_duration(enqueued.elapsed());
                 // An absent runner means the automaton was unregistered
                 // while this event was in flight; discarding is the
                 // deterministic choice (the drain ack has already been
@@ -449,10 +446,7 @@ mod tests {
 
     #[test]
     fn executor_pins_automata_to_workers_and_shuts_down_cleanly() {
-        let obs = Arc::new(crate::obs::Obs::new(
-            true,
-            std::time::Duration::from_secs(1),
-        ));
+        let obs = Arc::new(crate::obs::Obs::new(std::time::Duration::from_secs(1)));
         let pool = Executor::start(3, obs);
         assert_eq!(pool.worker_count(), 3);
         // Pinning is stable and spreads ids round-robin.

@@ -73,11 +73,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 use gapl::event::{AttrType, Scalar};
 
 use crate::error::{Error, Result};
+use crate::obs::Obs;
 use crate::protect::{decode_outcome, encode_outcome, TokenOutcome};
 use crate::table::TableKind;
 use crate::wire::{WireReader, WireWriter};
@@ -845,10 +847,9 @@ pub(crate) struct Wal {
     /// Where sealed frames are shipped (the replication hub), when the
     /// cache serves a replication stream.
     sink: RwLock<Option<ReplSink>>,
-    /// The cache's observability registry, installed right after open
-    /// (see [`Wal::set_obs`]); append / group-commit-wait / fsync
-    /// durations are recorded into it.
-    obs: OnceLock<Arc<crate::obs::Obs>>,
+    /// The cache's observability registry; append / group-commit-wait /
+    /// fsync durations are recorded into it.
+    obs: Arc<Obs>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -860,8 +861,9 @@ impl std::fmt::Debug for Wal {
 impl Wal {
     /// Open (or create) the durability directory, read the snapshot and
     /// every complete log record, and return the log ready for appends
-    /// plus everything the cache must replay.
-    pub fn open(dir: &Path, checkpoint_every: u64) -> Result<(Wal, Recovery)> {
+    /// plus everything the cache must replay. Append, group-commit-wait
+    /// and fsync durations are recorded into `obs`.
+    pub fn open(dir: &Path, checkpoint_every: u64, obs: Arc<Obs>) -> Result<(Wal, Recovery)> {
         fs::create_dir_all(dir)?;
 
         let snapshot_path = dir.join(SNAPSHOT_FILE);
@@ -984,7 +986,7 @@ impl Wal {
             checkpoints: AtomicU64::new(0),
             replayed: AtomicU64::new(replayed),
             sink: RwLock::new(None),
-            obs: OnceLock::new(),
+            obs,
         };
         Ok((
             wal,
@@ -1049,34 +1051,6 @@ impl Wal {
         *self.sink.write().unwrap_or_else(|p| p.into_inner()) = Some(sink);
     }
 
-    /// Install the observability registry. Called once by the cache
-    /// builder before the log serves any appends; a log without one
-    /// (unit tests constructing a bare `Wal`) simply records nothing.
-    pub fn set_obs(&self, obs: Arc<crate::obs::Obs>) {
-        let _ = self.obs.set(obs);
-    }
-
-    /// Start a duration measurement iff an enabled registry is present.
-    #[inline]
-    fn obs_timer(&self) -> Option<std::time::Instant> {
-        match self.obs.get() {
-            Some(obs) if obs.enabled() => Some(std::time::Instant::now()),
-            _ => None,
-        }
-    }
-
-    /// Record `elapsed` into `pick(registry)` when a timer was started.
-    #[inline]
-    fn obs_record(
-        &self,
-        t: Option<std::time::Instant>,
-        pick: impl Fn(&crate::obs::Obs) -> &crate::obs::LatencyHistogram,
-    ) {
-        if let (Some(t), Some(obs)) = (t, self.obs.get()) {
-            pick(obs).record_duration(t.elapsed());
-        }
-    }
-
     /// Ship `chunk` (the framed records that just reached the file, the
     /// last of which carries LSN `hi`) to the replication tailer, if one
     /// is attached.
@@ -1111,13 +1085,13 @@ impl Wal {
     /// record's commit ticket: pass it to [`Wal::wait_durable`] *after*
     /// the table lock is released.
     pub fn append(&self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
-        let t = self.obs_timer();
+        let t = Instant::now();
         let mut state = self.lock();
         state.check()?;
         let lsn = state.next_lsn;
         state.next_lsn += 1;
         self.push(&mut state, lsn, &encode(lsn));
-        self.obs_record(t, |o| &o.wal_append_ns);
+        self.obs.wal_append_ns.record_duration(t.elapsed());
         Ok(lsn)
     }
 
@@ -1127,7 +1101,7 @@ impl Wal {
     /// appended frame would let its durability wait return before the
     /// frame is on disk, so it is refused.
     pub fn append_frame(&self, lsn: u64, framed: &[u8]) -> Result<()> {
-        let t = self.obs_timer();
+        let t = Instant::now();
         let mut state = self.lock();
         state.check()?;
         if lsn <= state.appended_lsn {
@@ -1137,7 +1111,7 @@ impl Wal {
             )));
         }
         self.push(&mut state, lsn, framed);
-        self.obs_record(t, |o| &o.wal_append_ns);
+        self.obs.wal_append_ns.record_duration(t.elapsed());
         Ok(())
     }
 
@@ -1153,9 +1127,9 @@ impl Wal {
     /// waiter flushes for everyone queued behind it (leader election via
     /// the `syncing` flag).
     pub fn wait_durable(&self, lsn: u64) -> Result<()> {
-        let t = self.obs_timer();
+        let t = Instant::now();
         let result = self.wait_durable_group(lsn);
-        self.obs_record(t, |o| &o.wal_commit_wait_ns);
+        self.obs.wal_commit_wait_ns.record_duration(t.elapsed());
         result
     }
 
@@ -1185,9 +1159,9 @@ impl Wal {
             drop(state);
             let outcome = file.map_err(Error::from).and_then(|file| {
                 (&file).write_all(&chunk)?;
-                let t = self.obs_timer();
+                let t = Instant::now();
                 file.sync_data()?;
-                self.obs_record(t, |o| &o.wal_fsync_ns);
+                self.obs.wal_fsync_ns.record_duration(t.elapsed());
                 Ok(())
             });
             if outcome.is_ok() {
@@ -1223,12 +1197,12 @@ impl Wal {
             self.ship(state.appended_lsn, &buf);
         }
         if state.durable_lsn < state.appended_lsn {
-            let t = self.obs_timer();
+            let t = Instant::now();
             if let Err(e) = state.file.sync_data() {
                 state.failed = Some(e.to_string());
                 return Err(e.into());
             }
-            self.obs_record(t, |o| &o.wal_fsync_ns);
+            self.obs.wal_fsync_ns.record_duration(t.elapsed());
             self.syncs.fetch_add(1, Ordering::Relaxed);
             state.durable_lsn = state.appended_lsn;
             self.durable.notify_all();
@@ -1366,7 +1340,8 @@ mod tests {
     fn replicated_frames_are_refused_unless_above_the_newest_frame() {
         let dir = std::env::temp_dir().join(format!("pscache-wal-order-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let (wal, _) = Wal::open(&dir, 0).unwrap();
+        let obs = Arc::new(Obs::new(crate::config::DEFAULT_SLOW_OP_THRESHOLD));
+        let (wal, _) = Wal::open(&dir, 0, obs).unwrap();
         let frame = |lsn| encode_remove(lsn, "T", "k");
         wal.append_frame(3, &frame(3)).unwrap();
         // A repeat or a straggler could be acknowledged without ever

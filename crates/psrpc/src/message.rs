@@ -993,7 +993,7 @@ mod tests {
         assert!(ClientMessage::decode(&bytes).is_err());
 
         // A metrics reply carries a busy snapshot losslessly.
-        let obs = pscache::Obs::new(true, std::time::Duration::from_secs(1));
+        let obs = pscache::Obs::new(std::time::Duration::from_secs(1));
         obs.count_request(pscache::ReqKind::Insert);
         obs.count_request(pscache::ReqKind::Control);
         for i in 0..100 {
@@ -1014,7 +1014,7 @@ mod tests {
             },
         });
         // An empty snapshot (idle node) round-trips too.
-        let idle = pscache::Obs::new(true, std::time::Duration::from_secs(1));
+        let idle = pscache::Obs::new(std::time::Duration::from_secs(1));
         round_trip_server(ServerMessage::Reply {
             seq: 18,
             reply: CacheReply::Metrics {

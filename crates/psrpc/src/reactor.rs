@@ -85,10 +85,10 @@ enum Job {
 #[derive(Default)]
 struct ExecState {
     /// Decoded requests awaiting execution, in receive order, each with
-    /// its decode-time timestamp (`None` when metrics are disabled) so
-    /// the worker that claims it can charge the inbox wait to the
-    /// `queue` stage of the request's latency breakdown.
-    inbox: VecDeque<(ClientMessage, Option<Instant>)>,
+    /// its decode-time timestamp so the worker that claims it can charge
+    /// the inbox wait to the `queue` stage of the request's latency
+    /// breakdown.
+    inbox: VecDeque<(ClientMessage, Instant)>,
     /// A worker currently owns this connection's inbox.
     executing: bool,
     /// No more bytes will be read (EOF, parse error, or drain).
@@ -128,7 +128,7 @@ struct ConnShared {
     obs: Arc<pscache::Obs>,
     /// Replies appended to `out` whose flush has not yet happened: the
     /// reactor completes (and records) each one when the outbox next
-    /// drains to empty. Empty whenever metrics are disabled.
+    /// drains to empty.
     pending_ops: Mutex<VecDeque<PendingOp>>,
 }
 
@@ -191,7 +191,7 @@ impl NotificationSink for ReactorRoute {
         let accepted = shared.max_outbox_bytes == 0 || outbox_len <= shared.max_outbox_bytes;
         if accepted {
             shared.stats.notifications.fetch_add(1, Ordering::Release);
-        } else if mark_defunct(shared, &shared.stats) && shared.obs.enabled() {
+        } else if mark_defunct(shared, &shared.stats) {
             shared
                 .obs
                 .slow_consumer_evictions
@@ -511,9 +511,8 @@ struct Held {
     /// Client-stamped wire trace id (0 when unstamped).
     trace_id: u64,
     /// Queue time, kind, table and claim instant — the open execute
-    /// stage of the request's latency breakdown (`None` when metrics
-    /// are disabled).
-    span: Option<(u64, pscache::ReqKind, Option<String>, Instant)>,
+    /// stage of the request's latency breakdown.
+    span: (u64, pscache::ReqKind, Option<String>, Instant),
 }
 
 /// A settle point: commit `run` — one durability wait for everything it
@@ -544,9 +543,7 @@ fn settle(
         let mut wire = Vec::new();
         let mut spans = Vec::new();
         for h in held.drain(..) {
-            if let Some(span) = h.span {
-                spans.push((h.trace_id, span));
-            }
+            spans.push((h.trace_id, h.span));
             let reply = match &failure {
                 Some(failure) if h.awaits_commit => failure.clone(),
                 _ => h.reply,
@@ -556,22 +553,20 @@ fn settle(
             }
         }
         conn.out.lock().extend_from_slice(&wire);
-        if !spans.is_empty() {
-            let appended = Instant::now();
-            let mut pending = conn.pending_ops.lock();
-            for (trace_id, (queue_ns, kind, table, claimed)) in spans {
-                if pending.len() >= PENDING_OPS_CAP {
-                    pending.pop_front();
-                }
-                pending.push_back(PendingOp {
-                    trace_id,
-                    kind,
-                    table,
-                    queue_ns,
-                    exec_ns: appended.saturating_duration_since(claimed).as_nanos() as u64,
-                    appended,
-                });
+        let appended = Instant::now();
+        let mut pending = conn.pending_ops.lock();
+        for (trace_id, (queue_ns, kind, table, claimed)) in spans {
+            if pending.len() >= PENDING_OPS_CAP {
+                pending.pop_front();
             }
+            pending.push_back(PendingOp {
+                trace_id,
+                kind,
+                table,
+                queue_ns,
+                exec_ns: appended.saturating_duration_since(claimed).as_nanos() as u64,
+                appended,
+            });
         }
     }
     held.clear();
@@ -676,23 +671,19 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
             .token
             .map(|(client_id, seq)| IdemToken { client_id, seq });
         // The first stage of the latency breakdown closes at pickup:
-        // queue time is decode-to-claim. Everything trace-related keys
-        // off `received` being stamped, so a metrics-off cache pays no
-        // clock reads here.
-        let span = received.map(|at| {
-            let table = match &msg.request {
-                Request::Insert { table, .. } | Request::InsertBatch { table, .. } => {
-                    Some(table.clone())
-                }
-                _ => None,
-            };
-            (
-                at.elapsed().as_nanos() as u64,
-                req_kind(&msg.request),
-                table,
-                Instant::now(),
-            )
-        });
+        // queue time is decode-to-claim.
+        let table = match &msg.request {
+            Request::Insert { table, .. } | Request::InsertBatch { table, .. } => {
+                Some(table.clone())
+            }
+            _ => None,
+        };
+        let span = (
+            received.elapsed().as_nanos() as u64,
+            req_kind(&msg.request),
+            table,
+            Instant::now(),
+        );
         let awaiting = run.awaiting();
         let reply = {
             let mut registered = conn.registered.lock();
@@ -859,7 +850,7 @@ fn reactor_read(
                                     continue;
                                 }
                                 stats.in_flight.fetch_add(1, Ordering::Release);
-                                let received = cache.obs().enabled().then(Instant::now);
+                                let received = Instant::now();
                                 let mut exec = conn.shared.exec.lock();
                                 exec.inbox.push_back((msg, received));
                                 if !exec.executing {

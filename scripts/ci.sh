@@ -71,11 +71,8 @@ bench_wal       BENCH_wal.json       pipelined_mean_group_size 4.0   records per
 bench_repl      BENCH_repl.json      converged              1     replication stream drained to zero staleness
 bench_repl      BENCH_repl.json      follower_read_ratio    0.5   follower/primary read-throughput ratio
 bench_rpc       BENCH_rpc.json       rpc_speedup_16         10.0  pipelined/serial-baseline read speedup at 16 connections
-bench_protect   BENCH_protect.json   protect_dedup_ratio    0.9   tokened/untokened insert throughput ratio
 bench_protect   BENCH_protect.json   protect_fairness_ratio 0.5   paced-client flooded/isolated throughput ratio
 bench_cluster   BENCH_cluster.json   cluster_speedup_2      1.6   2-partition durable write speedup
-bench_obs       BENCH_obs.json       obs_rpc_ratio          0.95  instrumented/uninstrumented RPC insert throughput
-bench_obs       BENCH_obs.json       obs_read_ratio         0.95  instrumented/uninstrumented select throughput
 '
 
 # ---------------------------------------------------------------------

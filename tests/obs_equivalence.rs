@@ -316,23 +316,3 @@ fn a_traced_durable_flood_populates_histograms_and_the_slow_op_log() {
     drop(cache);
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// `CacheBuilder::metrics(false)` turns the whole surface off: the
-/// snapshot a disabled node serves is empty of histograms and its
-/// counters stay zero, but the RPC itself (and health) keeps working.
-#[test]
-fn metrics_false_serves_an_empty_snapshot() {
-    let cache = CacheBuilder::new().metrics(false).manual_clock().build();
-    cache.execute("create table T (v integer)").unwrap();
-    let server = Server::start("reactor", cache.clone());
-    let client = CacheClient::connect(server.addr()).unwrap();
-    for v in 0..20 {
-        client.insert("T", vec![Scalar::Int(v)]).unwrap();
-    }
-    let snapshot = client.metrics().unwrap();
-    assert!(snapshot.histograms.is_empty());
-    assert_eq!(snapshot.counter("rpc_requests_insert").unwrap_or(0), 0);
-    assert_eq!(snapshot.counter("slow_ops_recorded"), Some(0));
-    client.health().unwrap();
-    server.shutdown();
-}
