@@ -97,8 +97,9 @@ fn main() {
     let indexed_cache = populated_cache(false);
     insert_throughput(&indexed_cache, BATCH_ROWS); // warm-up
     let indexed_ops = insert_throughput(&indexed_cache, tuples);
-    let dispatch = indexed_cache.dispatch_stats();
-    assert_eq!(dispatch.queue_depth, 0);
+    let metrics = indexed_cache.metrics();
+    let dispatch = |name| metrics.counter(name).unwrap_or(0);
+    assert_eq!(dispatch("automaton_queue_depth"), 0);
     drop(indexed_cache);
 
     let speedup = indexed_ops / naive_ops;
@@ -109,7 +110,8 @@ fn main() {
     println!("{naive_ops:>22.0} {indexed_ops:>16.0} {speedup:>8.1}x");
     println!(
         "indexed dispatch: {} delivered, {} skipped by prefilter",
-        dispatch.delivered, dispatch.skipped_by_prefilter
+        dispatch("events_delivered"),
+        dispatch("events_skipped_by_prefilter")
     );
 
     let json = format!(
@@ -119,7 +121,8 @@ fn main() {
          \"naive_tuples_per_sec\": {naive_ops:.1},\n  \"indexed_tuples_per_sec\": \
          {indexed_ops:.1},\n  \"indexed_delivered\": {},\n  \"indexed_skipped_by_prefilter\": \
          {},\n  \"speedup\": {speedup:.2}\n}}\n",
-        dispatch.delivered, dispatch.skipped_by_prefilter
+        dispatch("events_delivered"),
+        dispatch("events_skipped_by_prefilter")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_fanout.json");
     println!("\nwrote {out_path}");

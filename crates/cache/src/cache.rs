@@ -16,7 +16,7 @@ use crate::cluster::ClusterSpec;
 use crate::config::{DEFAULT_AUTOMATON_WORKERS, DEFAULT_CHECKPOINT_EVERY, DEFAULT_TOKEN_HISTORY};
 use crate::dispatch::{DispatchIndex, TopicDispatch};
 use crate::error::{Error, Result};
-use crate::obs::Obs;
+use crate::obs::{MetricsSnapshot, Obs};
 use crate::plan::QueryPlan;
 use crate::protect::{ClientPolicy, IdemToken, TokenOutcome, TokenTable};
 use crate::query::{Query, ResultSet};
@@ -88,25 +88,6 @@ pub struct AutomatonTelemetry {
     /// Events currently waiting in its mailbox.
     pub queue_depth: u64,
     /// The largest mailbox backlog ever observed at enqueue time.
-    pub max_queue_depth: u64,
-}
-
-/// Cache-wide dispatch statistics (see [`Cache::dispatch_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DispatchStats {
-    /// Automata currently registered.
-    pub automata: usize,
-    /// Size of the executor pool.
-    pub workers: usize,
-    /// Sum of [`AutomatonTelemetry::delivered`] over all automata.
-    pub delivered: u64,
-    /// Sum of [`AutomatonTelemetry::processed`] over all automata.
-    pub processed: u64,
-    /// Sum of [`AutomatonTelemetry::skipped_by_prefilter`].
-    pub skipped_by_prefilter: u64,
-    /// Sum of current mailbox backlogs.
-    pub queue_depth: u64,
-    /// Largest per-automaton backlog high-water mark.
     pub max_queue_depth: u64,
 }
 
@@ -1512,28 +1493,69 @@ impl Cache {
         Ok(entry.telemetry())
     }
 
-    /// Aggregate dispatch statistics across every registered automaton,
-    /// plus the executor-pool size. This is what the RPC server surfaces
-    /// in its `ServerStats`.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        let automata = self.inner.automata.lock();
-        let mut stats = DispatchStats {
-            automata: automata.len(),
-            workers: self.inner.executor.worker_count(),
-            ..DispatchStats::default()
-        };
-        for entry in automata.values() {
-            let t = entry.telemetry();
-            stats.delivered += t.delivered;
-            stats.processed += t.processed;
-            stats.skipped_by_prefilter += t.skipped_by_prefilter;
-            stats.queue_depth += t.queue_depth;
-            stats.max_queue_depth = stats.max_queue_depth.max(t.max_queue_depth);
-        }
-        stats
+    /// The node's whole telemetry as one snapshot: the registry's
+    /// histograms and counters ([`Obs::snapshot`]) plus the cache's
+    /// point-in-time values — automaton-dispatch sums, durability
+    /// counters (0 when durability is off), replication watermarks and
+    /// the RPC pool size — each a counter named after the
+    /// `psrpc::ServerStats` / `psrpc::message::HealthReport` field it
+    /// fills. The RPC layer appends its server counters and serves the
+    /// result over `Request::Metrics`.
+    ///
+    /// Several of these are levels or watermarks, not totals:
+    /// [`MetricsSnapshot::merge`] sums them like any counter, so read
+    /// them from one node's snapshot.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snapshot = self.inner.obs.snapshot();
+        let telemetry: Vec<AutomatonTelemetry> = self
+            .inner
+            .automata
+            .lock()
+            .values()
+            .map(AutomatonEntry::telemetry)
+            .collect();
+        let sum = |field: fn(&AutomatonTelemetry) -> u64| telemetry.iter().map(field).sum();
+        let wal = self.wal_stats().unwrap_or_default();
+        let repl = self.repl_stats();
+        snapshot.counters.extend(
+            [
+                ("automata_active", telemetry.len() as u64),
+                ("events_delivered", sum(|t| t.delivered)),
+                ("events_processed", sum(|t| t.processed)),
+                (
+                    "events_skipped_by_prefilter",
+                    sum(|t| t.skipped_by_prefilter),
+                ),
+                ("automaton_queue_depth", sum(|t| t.queue_depth)),
+                (
+                    "automaton_max_queue_depth",
+                    telemetry
+                        .iter()
+                        .map(|t| t.max_queue_depth)
+                        .max()
+                        .unwrap_or(0),
+                ),
+                ("wal_records", wal.records),
+                ("wal_syncs", wal.syncs),
+                ("wal_checkpoints", wal.checkpoints),
+                ("wal_replayed", wal.replayed),
+                (
+                    "repl_is_follower",
+                    u64::from(repl.role == ReplRole::Follower),
+                ),
+                ("repl_commit_lsn", repl.commit_lsn),
+                ("repl_replica_lsn", repl.replica_lsn),
+                ("repl_followers", repl.followers as u64),
+                ("repl_min_follower_acked_lsn", repl.min_follower_acked_lsn),
+                ("rpc_workers", self.inner.rpc_workers as u64),
+            ]
+            .map(|(name, v)| (name.to_owned(), v)),
+        );
+        snapshot
     }
 
-    /// Lines printed by the automaton's `print()` calls so far.
+    /// The newest [`AUTOMATON_LOG_LINES`](crate::runtime::AUTOMATON_LOG_LINES)
+    /// lines printed by the automaton's `print()` calls, oldest first.
     ///
     /// # Errors
     ///
@@ -1541,12 +1563,12 @@ impl Cache {
     pub fn printed(&self, id: AutomatonId) -> Result<Vec<String>> {
         let routes = self.inner.routes.read();
         let route = routes.get(&id).ok_or(Error::NoSuchAutomaton { id: id.0 })?;
-        let printed = route.stats.printed.lock().clone();
-        Ok(printed)
+        Ok(route.stats.printed.lines())
     }
 
-    /// Runtime errors recorded for the automaton (a healthy automaton has
-    /// none).
+    /// The newest [`AUTOMATON_LOG_LINES`](crate::runtime::AUTOMATON_LOG_LINES)
+    /// runtime errors recorded for the automaton, oldest first (a
+    /// healthy automaton has none).
     ///
     /// # Errors
     ///
@@ -1554,8 +1576,7 @@ impl Cache {
     pub fn automaton_errors(&self, id: AutomatonId) -> Result<Vec<String>> {
         let routes = self.inner.routes.read();
         let route = routes.get(&id).ok_or(Error::NoSuchAutomaton { id: id.0 })?;
-        let errors = route.stats.errors.lock().clone();
-        Ok(errors)
+        Ok(route.stats.errors.lines())
     }
 
     /// Publish a `Timer` heartbeat tuple right now. Returns its timestamp.
@@ -3265,6 +3286,23 @@ mod tests {
     }
 
     #[test]
+    fn the_print_log_keeps_only_the_newest_lines() {
+        use crate::runtime::AUTOMATON_LOG_LINES;
+        const EXTRA: usize = 5;
+        let c = cache();
+        c.execute("create table T (v integer)").unwrap();
+        let (id, _rx) = c
+            .register_automaton("subscribe t to T; behavior { print(String('saw ', t.v)); }")
+            .unwrap();
+        let total = (AUTOMATON_LOG_LINES + EXTRA) as i64;
+        c.insert_batch("T", (0..total).map(|v| vec![Scalar::Int(v)]).collect())
+            .unwrap();
+        assert!(c.quiesce(Duration::from_secs(10)));
+        let want: Vec<String> = (EXTRA as i64..total).map(|v| format!("saw {v}")).collect();
+        assert_eq!(c.printed(id).unwrap(), want);
+    }
+
+    #[test]
     fn prefiltered_automata_only_receive_matching_events() {
         let c = cache();
         c.execute("create table Ticks (sym varchar(8), price integer)")
@@ -3300,11 +3338,11 @@ mod tests {
         assert_eq!(rx_all.try_iter().count(), 4);
 
         assert_eq!(c.topic_subscriber_count("Ticks"), 2);
-        let stats = c.dispatch_stats();
-        assert_eq!(stats.automata, 2);
-        assert_eq!(stats.delivered, 6);
-        assert_eq!(stats.skipped_by_prefilter, 2);
-        assert_eq!(stats.queue_depth, 0);
+        let stats = c.metrics();
+        assert_eq!(stats.counter("automata_active"), Some(2));
+        assert_eq!(stats.counter("events_delivered"), Some(6));
+        assert_eq!(stats.counter("events_skipped_by_prefilter"), Some(2));
+        assert_eq!(stats.counter("automaton_queue_depth"), Some(0));
     }
 
     /// Readers never convoy with writers: with the table's writer lock

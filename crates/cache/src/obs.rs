@@ -1,10 +1,17 @@
 //! Unified observability: lock-free latency histograms, counters, a
 //! slow-op ring buffer, and a Prometheus-style exposition surface.
 //!
-//! Every prior subsystem reported telemetry through its own counter
-//! struct (`WalStats`, `ReplStats`, `DispatchStats`, `ServerStats`…) —
-//! counts only, no distributions, no machine-scrapeable format. This
-//! module is the common sink those paths now record into:
+//! The registry records distributions and the counters its own record
+//! sites bump. Counters that live beside the state they count — the
+//! WAL's ([`WalStats`](crate::WalStats)), replication's
+//! ([`ReplStats`](crate::ReplStats)), per-automaton dispatch telemetry,
+//! the RPC server's connection and queue counters — are not recorded
+//! here; they join a [`MetricsSnapshot`] when it is read.
+//! [`Cache::metrics`](crate::Cache::metrics) appends the cache's values
+//! to [`Obs::snapshot`], the RPC layer appends its server counters, and
+//! that one snapshot is the node's whole control-plane answer
+//! (`Request::Metrics`); `psrpc`'s `ServerStats` and `HealthReport` are
+//! views of it.
 //!
 //! * [`LatencyHistogram`] — a **log-linear** (HDR-style) histogram of
 //!   fixed power-of-two bucket ranges over `AtomicU64` cells. Recording
@@ -209,8 +216,8 @@ impl HistogramSnapshot {
 }
 
 /// The request kinds the RPC layer distinguishes when recording
-/// per-request-type service time. `Control` covers ping / stats /
-/// health / metrics — the cheap introspection requests.
+/// per-request-type service time. `Control` covers ping and metrics —
+/// the cheap introspection requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum ReqKind {
@@ -224,7 +231,7 @@ pub enum ReqKind {
     Register = 3,
     /// `Request::UnregisterAutomaton`.
     Unregister = 4,
-    /// Ping / ServerStats / Health / Metrics.
+    /// `Request::Ping` / `Request::Metrics`.
     Control = 5,
 }
 
@@ -461,7 +468,10 @@ impl MetricsSnapshot {
     }
 
     /// Fold `other` into `self` by metric name — the cross-partition
-    /// aggregation behind `ClusterClient::metrics_all`.
+    /// aggregation behind `ClusterClient::metrics_all`. Every counter
+    /// is summed, including the watermarks and levels
+    /// [`Cache::metrics`](crate::Cache::metrics) adds (LSNs, pool
+    /// sizes, queue depths): read those from one node's snapshot.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {

@@ -43,7 +43,7 @@
 //! variables) is deliberately not durable, but any state an automaton
 //! `insert()`s into an associated persistent table is.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -165,9 +165,34 @@ pub(crate) struct AutomatonStats {
     /// observed at enqueue time).
     pub max_queue_depth: AtomicU64,
     /// Runtime errors raised while processing events.
-    pub errors: Mutex<Vec<String>>,
+    pub errors: LineRing,
     /// Lines produced by `print()`.
-    pub printed: Mutex<Vec<String>>,
+    pub printed: LineRing,
+}
+
+/// How many lines each automaton's `print()` log and error log keep;
+/// older lines are dropped, so an automaton that prints on every event
+/// holds a bounded amount of memory however long it runs.
+pub const AUTOMATON_LOG_LINES: usize = 1024;
+
+/// The newest [`AUTOMATON_LOG_LINES`] lines of one log.
+#[derive(Debug, Default)]
+pub(crate) struct LineRing(Mutex<VecDeque<String>>);
+
+impl LineRing {
+    /// Append a line, dropping the oldest one when full.
+    pub fn push(&self, line: String) {
+        let mut lines = self.0.lock();
+        if lines.len() == AUTOMATON_LOG_LINES {
+            lines.pop_front();
+        }
+        lines.push_back(line);
+    }
+
+    /// The retained lines, oldest first.
+    pub fn lines(&self) -> Vec<String> {
+        self.0.lock().iter().cloned().collect()
+    }
 }
 
 impl AutomatonStats {
@@ -278,10 +303,7 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
                 };
                 let mut vm = Vm::new(cmd.program);
                 if let Err(e) = vm.run_initialization(&mut host) {
-                    host.stats
-                        .errors
-                        .lock()
-                        .push(format!("initialization: {e}"));
+                    host.stats.errors.push(format!("initialization: {e}"));
                 }
                 runners.insert(cmd.id.0, Runner { vm, host });
             }
@@ -300,12 +322,7 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
                     continue;
                 };
                 if let Err(e) = runner.vm.run_behavior(&topic, &tuple, &mut runner.host) {
-                    runner
-                        .host
-                        .stats
-                        .errors
-                        .lock()
-                        .push(format!("behavior: {e}"));
+                    runner.host.stats.errors.push(format!("behavior: {e}"));
                 }
                 runner.host.stats.processed.fetch_add(1, Ordering::Release);
             }
@@ -364,7 +381,7 @@ impl HostInterface for CacheHost {
     }
 
     fn print(&mut self, text: &str) {
-        self.stats.printed.lock().push(text.to_owned());
+        self.stats.printed.push(text.to_owned());
     }
 
     fn assoc_lookup(&mut self, table: &str, key: &str) -> gapl::Result<Option<Vec<Scalar>>> {
@@ -433,8 +450,8 @@ mod tests {
         assert_eq!(s.delivered.load(Ordering::Relaxed), 0);
         assert_eq!(s.processed.load(Ordering::Relaxed), 0);
         assert_eq!(s.queue_depth(), 0);
-        assert!(s.errors.lock().is_empty());
-        assert!(s.printed.lock().is_empty());
+        assert!(s.errors.lines().is_empty());
+        assert!(s.printed.lines().is_empty());
         s.record_enqueued();
         s.record_enqueued();
         assert_eq!(s.queue_depth(), 2);

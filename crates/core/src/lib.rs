@@ -56,8 +56,8 @@ pub use pscache;
 pub use psrpc;
 
 pub use pscache::{
-    Aggregate, AutomatonId, AutomatonTelemetry, Cache, CacheBuilder, Comparison, DispatchStats,
-    Error, Notification, Predicate, Query, Response, Result, ResultSet, TableKind,
+    Aggregate, AutomatonId, AutomatonTelemetry, Cache, CacheBuilder, Comparison, Error,
+    Notification, Predicate, Query, Response, Result, ResultSet, TableKind,
     DEFAULT_AUTOMATON_WORKERS,
 };
 pub use psrpc::ServerStats;
@@ -67,8 +67,8 @@ pub mod prelude {
     pub use crate::continuous::ContinuousQuery;
     pub use gapl::event::{AttrType, Scalar, Schema, Timestamp, Tuple};
     pub use pscache::{
-        Aggregate, AutomatonId, AutomatonTelemetry, Cache, CacheBuilder, Comparison, DispatchStats,
-        Notification, Predicate, Query, Response, ResultSet, TableKind,
+        Aggregate, AutomatonId, AutomatonTelemetry, Cache, CacheBuilder, Comparison, Notification,
+        Predicate, Query, Response, ResultSet, TableKind,
     };
     pub use psrpc::{CacheClient, ReactorServer, ServerStats};
 }

@@ -1,10 +1,10 @@
 //! `pscache-health` — the load-balancer probe for a running cache
 //! server.
 //!
-//! Issues one [`Request::Health`](psrpc::message::Request::Health) RPC
-//! and reports the snapshot. The server answers it inline on the
-//! reactor's event thread, so the probe stays meaningful when every
-//! worker is saturated: a wedged worker pool is *visible* in the
+//! Issues one [`Request::Metrics`](psrpc::message::Request::Metrics) RPC
+//! and reports its [`HealthReport`] view. The server answers it inline
+//! on the reactor's event thread, so the probe stays meaningful when
+//! every worker is saturated: a wedged worker pool is *visible* in the
 //! report (`rpc_worker_busy == rpc_workers`, growing `rpc_in_flight`)
 //! instead of timing the probe out.
 //!
@@ -16,10 +16,10 @@
 //!
 //! `--format json` emits the same snapshot as one machine-readable JSON
 //! object (hand-rolled — every field is an integer, a ratio, or a
-//! string, so no serializer is needed). `--metrics` additionally issues
-//! a [`Request::Metrics`](psrpc::message::Request::Metrics) RPC and
-//! prints the node's latency histograms and counters — as Prometheus
-//! exposition text in text mode, as a summarised object in JSON mode.
+//! string, so no serializer is needed). `--metrics` also prints the
+//! snapshot the report was read from — the node's latency histograms
+//! and counters — as Prometheus exposition text in text mode, as a
+//! summarised object in JSON mode; it costs no second round trip.
 //! Neither flag changes the exit semantics.
 //!
 //! Exit codes, shaped for probe configs (Kubernetes, HAProxy, …):
@@ -201,25 +201,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = match client.health() {
-        Ok(report) => report,
+    let snapshot = match client.metrics() {
+        Ok(snapshot) => snapshot,
         Err(e) => {
-            eprintln!("pscache-health: {}: health rpc failed: {e}", opts.addr);
+            eprintln!("pscache-health: {}: metrics rpc failed: {e}", opts.addr);
             return ExitCode::from(2);
         }
     };
-    let snapshot = if opts.metrics {
-        match client.metrics() {
-            Ok(snapshot) => Some(snapshot),
-            Err(e) => {
-                eprintln!("pscache-health: {}: metrics rpc failed: {e}", opts.addr);
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
     let elapsed = started.elapsed();
+    let report = HealthReport::from_snapshot(&snapshot);
 
     let role = if report.role_follower == 1 {
         "follower"
@@ -249,9 +239,9 @@ fn main() -> ExitCode {
                 elapsed.as_millis(),
             ),
         }
-        if let Some(snapshot) = &snapshot {
+        if opts.metrics {
             match opts.format {
-                Format::Json => println!("{}", metrics_json(snapshot)),
+                Format::Json => println!("{}", metrics_json(&snapshot)),
                 Format::Text => print!("{}", snapshot.to_prometheus()),
             }
         }

@@ -24,7 +24,9 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use gapl::event::Scalar;
 
 use crate::error::{Error, Result};
-use crate::message::{CacheReply, ClientMessage, HealthReport, Request, ServerMessage, WireRow};
+use crate::message::{
+    CacheReply, ClientMessage, HealthReport, Request, ServerMessage, ServerStats, WireRow,
+};
 use crate::transport::{inproc_pair, tcp_split, RecvHalf, SendHalf};
 
 /// How a [`CacheClient`] built with
@@ -326,7 +328,7 @@ impl Drop for PendingReply {
 /// with the same values.
 fn is_idempotent(request: &Request) -> bool {
     match request {
-        Request::Ping | Request::ServerStats | Request::Health | Request::Metrics => true,
+        Request::Ping | Request::Metrics => true,
         Request::Execute { command } => is_select(command),
         Request::Insert { upsert, .. } | Request::InsertBatch { upsert, .. } => *upsert,
         Request::RegisterAutomaton { .. } | Request::UnregisterAutomaton { .. } => false,
@@ -855,43 +857,36 @@ impl CacheClient {
 
     /// Fetch the server's counters: connections, requests, in-flight
     /// pipeline depth, notification routing, and the cache's
-    /// automaton-dispatch statistics.
+    /// automaton-dispatch, durability and replication statistics — the
+    /// [`ServerStats`] view of one [`CacheClient::metrics`] round trip.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Disconnected`] when the server is gone.
-    pub fn server_stats(&self) -> Result<crate::message::ServerStats> {
-        match self.request(Request::ServerStats)? {
-            CacheReply::Stats { stats } => Ok(stats),
-            other => Err(Error::protocol(format!(
-                "unexpected reply to a stats request: {other:?}"
-            ))),
-        }
+    pub fn server_stats(&self) -> Result<ServerStats> {
+        self.metrics().map(|s| ServerStats::from_snapshot(&s))
     }
 
     /// Fetch the server's health/readiness snapshot: role, durability
-    /// and replication watermarks, queue depths, and throttle counters.
-    /// Against a `ReactorServer` this is answered on the reactor thread
-    /// itself — never queued behind request execution — so a probe gets
-    /// its answer even when every worker is saturated.
+    /// and replication watermarks, queue depths, and throttle counters —
+    /// the [`HealthReport`] view of one [`CacheClient::metrics`] round
+    /// trip, so a probe gets its answer even when every worker is
+    /// saturated.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Disconnected`] when the server is gone.
     pub fn health(&self) -> Result<HealthReport> {
-        match self.request(Request::Health)? {
-            CacheReply::Health { report } => Ok(report),
-            other => Err(Error::protocol(format!(
-                "unexpected reply to a health probe: {other:?}"
-            ))),
-        }
+        self.metrics().map(|s| HealthReport::from_snapshot(&s))
     }
 
-    /// Fetch the server's observability snapshot: latency histograms
-    /// and counters (see `pscache::obs`). Like [`CacheClient::health`],
-    /// a `ReactorServer` answers this inline on the reactor thread, so
-    /// a scraper gets numbers even from a node whose worker pool is
-    /// saturated — exactly the node whose numbers matter most.
+    /// Fetch the node's whole telemetry: latency histograms, the
+    /// registry's counters (see `pscache::obs`), and the cache's and
+    /// server's point-in-time counters that [`CacheClient::server_stats`]
+    /// and [`CacheClient::health`] are views of. A `ReactorServer`
+    /// answers it inline on the reactor thread, so a scraper gets numbers
+    /// even from a node whose worker pool is saturated — exactly the
+    /// node whose numbers matter most.
     ///
     /// # Errors
     ///
@@ -1254,11 +1249,8 @@ mod tests {
     #[test]
     fn idempotency_classification_matches_the_retry_contract() {
         assert!(is_idempotent(&Request::Ping));
-        assert!(is_idempotent(&Request::ServerStats));
-        assert!(is_idempotent(&Request::Health));
         assert!(is_idempotent(&Request::Metrics));
         assert!(!wants_token(&Request::Ping));
-        assert!(!wants_token(&Request::Health));
         assert!(!wants_token(&Request::Metrics));
         assert!(wants_token(&Request::Execute {
             command: "insert into T values (1)".into()

@@ -479,34 +479,30 @@ impl ClusterClient {
         self.client(partition).drain_notifications()
     }
 
-    /// Health of every partition, gathered in parallel: one report per
-    /// partition, in partition order.
+    /// Health of every partition, gathered in parallel: the
+    /// [`HealthReport`] view of each [`ClusterClient::metrics_all`]
+    /// snapshot, one per partition, in partition order.
     ///
     /// # Errors
     ///
     /// The first unreachable partition's error — a cluster with any
     /// dead partition is not healthy.
     pub fn health(&self) -> Result<Vec<HealthReport>> {
-        let handles = self.scatter(|client| client.begin_request(Request::Health))?;
-        let mut reports = Vec::with_capacity(handles.len());
-        for handle in handles {
-            match handle.wait()? {
-                CacheReply::Health { report } => reports.push(report),
-                other => {
-                    return Err(Error::protocol(format!(
-                        "unexpected reply to a health request: {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(reports)
+        Ok(self
+            .metrics_all()?
+            .iter()
+            .map(HealthReport::from_snapshot)
+            .collect())
     }
 
     /// Observability snapshots from every partition, gathered in
     /// parallel: one per partition, in partition order. Merge them with
     /// [`pscache::MetricsSnapshot::merge`] for a cluster-wide view —
-    /// histograms and counters aggregate exactly, because the buckets
-    /// are identical on every node.
+    /// histograms and totals aggregate exactly, because the buckets
+    /// are identical on every node. `merge` sums every counter, so
+    /// watermarks and levels (`repl_commit_lsn`, `rpc_workers`, …) are
+    /// only meaningful per node: build views from each snapshot, as
+    /// [`ClusterClient::health`] does.
     ///
     /// # Errors
     ///

@@ -8,9 +8,12 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscache::{AutomatonId, Cache, IdemToken, NotificationSink, Response, TokenOutcome, WriteRun};
+use pscache::{
+    AutomatonId, Cache, IdemToken, MetricsSnapshot, NotificationSink, Response, TokenOutcome,
+    WriteRun,
+};
 
-use crate::message::{CacheReply, HealthReport, Request, ServerMessage, ServerStats, WireRow};
+use crate::message::{CacheReply, Request, ServerMessage, WireRow};
 
 #[derive(Debug, Default)]
 pub(crate) struct StatsInner {
@@ -36,73 +39,29 @@ pub(crate) struct StatsInner {
 }
 
 impl StatsInner {
-    /// The server-side counters plus the cache's automaton-dispatch,
-    /// durability and replication statistics, as one snapshot — the
-    /// end-to-end observability surface: a remote client can read
-    /// group-commit behaviour and replication lag without shell access
-    /// to the cache host.
-    pub(crate) fn snapshot(&self, cache: &Cache) -> ServerStats {
-        let dispatch = cache.dispatch_stats();
-        let wal = cache.wal_stats().unwrap_or_default();
-        let repl = cache.repl_stats();
-        ServerStats {
-            connections_accepted: self.accepted.load(Ordering::Acquire),
-            connections_active: self.active.load(Ordering::Acquire),
-            rpc_in_flight: self.in_flight.load(Ordering::Acquire),
-            rpc_queue_stalls: self.queue_stalls.load(Ordering::Acquire),
-            requests_served: self.requests.load(Ordering::Acquire),
-            notifications_routed: self.notifications.load(Ordering::Acquire),
-            automata_active: dispatch.automata as u64,
-            events_delivered: dispatch.delivered,
-            events_processed: dispatch.processed,
-            events_skipped_by_prefilter: dispatch.skipped_by_prefilter,
-            automaton_queue_depth: dispatch.queue_depth,
-            automaton_max_queue_depth: dispatch.max_queue_depth,
-            wal_records: wal.records,
-            wal_syncs: wal.syncs,
-            wal_checkpoints: wal.checkpoints,
-            wal_replayed: wal.replayed,
-            repl_is_follower: u64::from(repl.role == pscache::ReplRole::Follower),
-            repl_commit_lsn: repl.commit_lsn,
-            repl_replica_lsn: repl.replica_lsn,
-            repl_followers: repl.followers as u64,
-            repl_min_follower_acked_lsn: repl.min_follower_acked_lsn,
-            rpc_worker_busy: self.worker_busy.load(Ordering::Acquire),
-            rpc_requests_throttled: self.requests_throttled.load(Ordering::Acquire),
-        }
-    }
-}
-
-/// Build the health/readiness snapshot for [`Request::Health`] from
-/// nothing but atomics and lock-free cache accessors — both transports
-/// share it, and the reactor answers it inline on the poll thread so a
-/// probe gets a reply even when every worker is wedged on a slow
-/// request.
-pub(crate) fn health_report(cache: &Cache, stats: &StatsInner) -> HealthReport {
-    let repl = cache.repl_stats();
-    // Lag is only meaningful with a follower attached: None (not 0)
-    // otherwise, so probes can tell "caught up" from "unreplicated".
-    let lag = if repl.followers > 0 {
-        Some(repl.commit_lsn.saturating_sub(repl.min_follower_acked_lsn))
-    } else {
-        None
-    };
-    HealthReport {
-        role_follower: u64::from(repl.role == pscache::ReplRole::Follower),
-        commit_lsn: repl.commit_lsn,
-        replica_lsn: repl.replica_lsn,
-        repl_lag: lag,
-        connections_active: stats.active.load(Ordering::Acquire),
-        rpc_in_flight: stats.in_flight.load(Ordering::Acquire),
-        rpc_queue_stalls: stats.queue_stalls.load(Ordering::Acquire),
-        rpc_worker_busy: stats.worker_busy.load(Ordering::Acquire),
-        rpc_workers: cache.rpc_workers() as u64,
-        rpc_requests_throttled: stats.requests_throttled.load(Ordering::Acquire),
-        slow_consumer_evictions: cache.obs().slow_consumer_evictions.load(Ordering::Relaxed),
-        automaton_unregistrations: cache
-            .obs()
-            .automaton_unregistrations
-            .load(Ordering::Relaxed),
+    /// The node's one control-plane answer: the cache's
+    /// [`Cache::metrics`] snapshot plus this server's counters, each
+    /// named after the [`ServerStats`](crate::message::ServerStats)
+    /// field it fills. A remote client reads group-commit behaviour,
+    /// replication lag and worker saturation from it without shell
+    /// access to the cache host; both transports answer
+    /// [`Request::Metrics`] with it.
+    pub(crate) fn metrics(&self, cache: &Cache) -> MetricsSnapshot {
+        let mut snapshot = cache.metrics();
+        snapshot.counters.extend(
+            [
+                ("connections_accepted", &self.accepted),
+                ("connections_active", &self.active),
+                ("requests_served", &self.requests),
+                ("notifications_routed", &self.notifications),
+                ("rpc_in_flight", &self.in_flight),
+                ("rpc_queue_stalls", &self.queue_stalls),
+                ("rpc_worker_busy", &self.worker_busy),
+                ("rpc_requests_throttled", &self.requests_throttled),
+            ]
+            .map(|(name, v)| (name.to_owned(), v.load(Ordering::Acquire))),
+        );
+        snapshot
     }
 }
 
@@ -160,8 +119,8 @@ fn outcome_to_reply(outcome: TokenOutcome) -> CacheReply {
 }
 
 /// The observability bucket a request's service time lands in (see
-/// `pscache::obs::ReqKind`): one per mutation shape, with every cheap
-/// control request (ping, stats, health, metrics) sharing a bucket.
+/// `pscache::obs::ReqKind`): one per mutation shape, with the cheap
+/// control requests (ping, metrics) sharing a bucket.
 pub(crate) fn req_kind(request: &Request) -> pscache::ReqKind {
     match request {
         Request::Execute { .. } => pscache::ReqKind::Execute,
@@ -169,9 +128,7 @@ pub(crate) fn req_kind(request: &Request) -> pscache::ReqKind {
         Request::InsertBatch { .. } => pscache::ReqKind::InsertBatch,
         Request::RegisterAutomaton { .. } => pscache::ReqKind::Register,
         Request::UnregisterAutomaton { .. } => pscache::ReqKind::Unregister,
-        Request::Ping | Request::ServerStats | Request::Health | Request::Metrics => {
-            pscache::ReqKind::Control
-        }
+        Request::Ping | Request::Metrics => pscache::ReqKind::Control,
     }
 }
 
@@ -238,14 +195,8 @@ pub(crate) fn stage_request<S: NotificationSink + Send + 'static>(
     }
     match request {
         Request::Ping => CacheReply::Pong,
-        Request::ServerStats => CacheReply::Stats {
-            stats: ctx.stats.snapshot(ctx.cache),
-        },
-        Request::Health => CacheReply::Health {
-            report: health_report(ctx.cache, ctx.stats),
-        },
         Request::Metrics => CacheReply::Metrics {
-            snapshot: ctx.cache.obs().snapshot(),
+            snapshot: ctx.stats.metrics(ctx.cache),
         },
         // An insert arriving as text is a write run of one inside the
         // cache, durable before `execute_with_token` returns.
@@ -460,8 +411,9 @@ mod tests {
         }
         assert!(cache.quiesce(std::time::Duration::from_secs(5)));
         let mut conn = test_conn();
-        match conn.handle(&cache, Request::ServerStats) {
-            CacheReply::Stats { stats } => {
+        match conn.handle(&cache, Request::Metrics) {
+            CacheReply::Metrics { snapshot } => {
+                let stats = crate::message::ServerStats::from_snapshot(&snapshot);
                 assert_eq!(stats.automata_active, 1);
                 assert_eq!(stats.events_delivered, 1);
                 assert_eq!(stats.events_processed, 1);

@@ -62,25 +62,19 @@ pub enum Request {
     },
     /// Liveness check.
     Ping,
-    /// Ask for the server's counters (connections, requests, and the
-    /// cache's automaton-dispatch statistics).
-    ServerStats,
-    /// Ask for the cheap health/readiness snapshot. Unlike
-    /// [`Request::ServerStats`] this is answered from atomic counters
-    /// only — the reactor answers it inline on the event thread, so a
-    /// load-balancer probe gets a reply even when every worker is busy.
-    Health,
-    /// Ask for the observability snapshot (latency histograms, counters
-    /// — see `pscache::obs`). Answered like [`Request::Health`]: inline
-    /// on the reactor's event thread, never queued behind workers, so a
-    /// scraper still gets its numbers from a node whose worker pool is
-    /// the very thing that is saturated.
+    /// Ask for the node's whole telemetry: the cache's
+    /// `pscache::Cache::metrics` snapshot (latency histograms, counters,
+    /// dispatch, durability and replication values) plus the server's
+    /// own counters. The only control-plane request: [`ServerStats`] and
+    /// [`HealthReport`] are views of its reply. The reactor answers it
+    /// inline on its event thread, never queued behind workers, so a
+    /// probe or scraper still gets its numbers from a node whose worker
+    /// pool is the very thing that is saturated.
     Metrics,
 }
 
-/// The health/readiness snapshot returned by [`Request::Health`]:
-/// everything a load balancer needs to keep or drop a backend, cheap
-/// enough to be answered without touching a lock or a worker thread.
+/// The health/readiness view of one node's [`Request::Metrics`] reply:
+/// everything a load balancer needs to keep or drop a backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthReport {
     /// 1 when the served cache is a read-only follower replica, else 0.
@@ -93,8 +87,7 @@ pub struct HealthReport {
     /// the end-to-end replication lag in records. `None` when no
     /// follower is attached: "nobody is replicating" must not be
     /// conflated with "fully caught up", or a `--max-lag` probe passes
-    /// vacuously on an unreplicated primary. On the wire `None` is
-    /// `u64::MAX` (an impossible lag: it exceeds every reachable LSN).
+    /// vacuously on an unreplicated primary.
     pub repl_lag: Option<u64>,
     /// Connections currently being served.
     pub connections_active: u64,
@@ -117,6 +110,33 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
+    /// The view of one node's snapshot: each field reads the counter of
+    /// the same name (`role_follower`, `commit_lsn` and `replica_lsn`
+    /// read `repl_is_follower`, `repl_commit_lsn` and
+    /// `repl_replica_lsn`; a missing name reads 0), and `repl_lag` is
+    /// derived from the replication counters — `None` when
+    /// `repl_followers` is 0.
+    #[must_use]
+    pub fn from_snapshot(snapshot: &pscache::MetricsSnapshot) -> HealthReport {
+        let c = |name| snapshot.counter(name).unwrap_or(0);
+        let commit_lsn = c("repl_commit_lsn");
+        HealthReport {
+            role_follower: c("repl_is_follower"),
+            commit_lsn,
+            replica_lsn: c("repl_replica_lsn"),
+            repl_lag: (c("repl_followers") > 0)
+                .then(|| commit_lsn.saturating_sub(c("repl_min_follower_acked_lsn"))),
+            connections_active: c("connections_active"),
+            rpc_in_flight: c("rpc_in_flight"),
+            rpc_queue_stalls: c("rpc_queue_stalls"),
+            rpc_worker_busy: c("rpc_worker_busy"),
+            rpc_workers: c("rpc_workers"),
+            rpc_requests_throttled: c("rpc_requests_throttled"),
+            slow_consumer_evictions: c("slow_consumer_evictions"),
+            automaton_unregistrations: c("automaton_unregistrations"),
+        }
+    }
+
     /// Worker-pool saturation: `rpc_worker_busy / rpc_workers`, in
     /// `[0.0, 1.0]`. `0.0` when the report carries no pool size.
     ///
@@ -141,9 +161,10 @@ impl HealthReport {
     }
 }
 
-/// Counters describing a running server; a snapshot is returned by
-/// [`crate::reactor::ReactorServer::stats`] and over the wire by
-/// [`Request::ServerStats`].
+/// Counters describing a running server: a view of one node's
+/// [`Request::Metrics`] reply, returned by
+/// [`crate::reactor::ReactorServer::stats`] and
+/// [`crate::client::CacheClient::server_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Connections accepted since the server started.
@@ -211,6 +232,40 @@ pub struct ServerStats {
     pub rpc_requests_throttled: u64,
 }
 
+impl ServerStats {
+    /// The view of one node's snapshot: each field reads the counter of
+    /// the same name; a missing name reads 0.
+    #[must_use]
+    pub fn from_snapshot(snapshot: &pscache::MetricsSnapshot) -> ServerStats {
+        let c = |name| snapshot.counter(name).unwrap_or(0);
+        ServerStats {
+            connections_accepted: c("connections_accepted"),
+            connections_active: c("connections_active"),
+            requests_served: c("requests_served"),
+            notifications_routed: c("notifications_routed"),
+            automata_active: c("automata_active"),
+            events_delivered: c("events_delivered"),
+            events_processed: c("events_processed"),
+            events_skipped_by_prefilter: c("events_skipped_by_prefilter"),
+            automaton_queue_depth: c("automaton_queue_depth"),
+            automaton_max_queue_depth: c("automaton_max_queue_depth"),
+            wal_records: c("wal_records"),
+            wal_syncs: c("wal_syncs"),
+            wal_checkpoints: c("wal_checkpoints"),
+            wal_replayed: c("wal_replayed"),
+            repl_is_follower: c("repl_is_follower"),
+            repl_commit_lsn: c("repl_commit_lsn"),
+            repl_replica_lsn: c("repl_replica_lsn"),
+            repl_followers: c("repl_followers"),
+            repl_min_follower_acked_lsn: c("repl_min_follower_acked_lsn"),
+            rpc_in_flight: c("rpc_in_flight"),
+            rpc_queue_stalls: c("rpc_queue_stalls"),
+            rpc_worker_busy: c("rpc_worker_busy"),
+            rpc_requests_throttled: c("rpc_requests_throttled"),
+        }
+    }
+}
+
 /// A row of a result set on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRow {
@@ -257,16 +312,6 @@ pub enum CacheReply {
     Error {
         /// Error message.
         message: String,
-    },
-    /// Reply to [`Request::ServerStats`].
-    Stats {
-        /// The server's counters at the time of the request.
-        stats: ServerStats,
-    },
-    /// Reply to [`Request::Health`].
-    Health {
-        /// The health snapshot at the time of the request.
-        report: HealthReport,
     },
     /// The request was rejected by per-client admission control before
     /// it reached a worker. The request was **not** applied; retrying
@@ -393,12 +438,6 @@ impl ClientMessage {
                 w.put_rows(rows);
                 w.put_bool(*upsert);
             }
-            Request::ServerStats => {
-                w.put_u8(6);
-            }
-            Request::Health => {
-                w.put_u8(7);
-            }
             Request::Metrics => {
                 w.put_u8(8);
             }
@@ -447,8 +486,6 @@ impl ClientMessage {
                 rows: r.get_rows()?,
                 upsert: r.get_bool()?,
             },
-            6 => Request::ServerStats,
-            7 => Request::Health,
             8 => Request::Metrics,
             other => return Err(Error::protocol(format!("unknown request tag {other}"))),
         };
@@ -541,18 +578,6 @@ fn encode_reply(w: &mut WireWriter, reply: &CacheReply) {
             w.put_u8(7);
             w.put_u64s(tstamps);
         }
-        CacheReply::Stats { stats } => {
-            w.put_u8(8);
-            for field in stats_fields(stats) {
-                w.put_u64(field);
-            }
-        }
-        CacheReply::Health { report } => {
-            w.put_u8(9);
-            for field in health_fields(report) {
-                w.put_u64(field);
-            }
-        }
         CacheReply::Throttled { retry_after_ms } => {
             w.put_u8(10);
             w.put_u64(*retry_after_ms);
@@ -566,53 +591,6 @@ fn encode_reply(w: &mut WireWriter, reply: &CacheReply) {
             snapshot.encode_into(w);
         }
     }
-}
-
-/// The wire order of [`HealthReport`] fields (shared by encode/decode).
-fn health_fields(h: &HealthReport) -> [u64; 12] {
-    [
-        h.role_follower,
-        h.commit_lsn,
-        h.replica_lsn,
-        h.repl_lag.unwrap_or(u64::MAX),
-        h.connections_active,
-        h.rpc_in_flight,
-        h.rpc_queue_stalls,
-        h.rpc_worker_busy,
-        h.rpc_workers,
-        h.rpc_requests_throttled,
-        h.slow_consumer_evictions,
-        h.automaton_unregistrations,
-    ]
-}
-
-/// The wire order of [`ServerStats`] fields (shared by encode/decode).
-fn stats_fields(s: &ServerStats) -> [u64; 23] {
-    [
-        s.connections_accepted,
-        s.connections_active,
-        s.requests_served,
-        s.notifications_routed,
-        s.automata_active,
-        s.events_delivered,
-        s.events_processed,
-        s.events_skipped_by_prefilter,
-        s.automaton_queue_depth,
-        s.automaton_max_queue_depth,
-        s.wal_records,
-        s.wal_syncs,
-        s.wal_checkpoints,
-        s.wal_replayed,
-        s.repl_is_follower,
-        s.repl_commit_lsn,
-        s.repl_replica_lsn,
-        s.repl_followers,
-        s.repl_min_follower_acked_lsn,
-        s.rpc_in_flight,
-        s.rpc_queue_stalls,
-        s.rpc_worker_busy,
-        s.rpc_requests_throttled,
-    ]
 }
 
 fn decode_reply(r: &mut WireReader<'_>) -> Result<CacheReply> {
@@ -645,52 +623,6 @@ fn decode_reply(r: &mut WireReader<'_>) -> Result<CacheReply> {
         },
         7 => CacheReply::InsertedBatch {
             tstamps: r.get_u64s()?,
-        },
-        8 => CacheReply::Stats {
-            stats: ServerStats {
-                connections_accepted: r.get_u64()?,
-                connections_active: r.get_u64()?,
-                requests_served: r.get_u64()?,
-                notifications_routed: r.get_u64()?,
-                automata_active: r.get_u64()?,
-                events_delivered: r.get_u64()?,
-                events_processed: r.get_u64()?,
-                events_skipped_by_prefilter: r.get_u64()?,
-                automaton_queue_depth: r.get_u64()?,
-                automaton_max_queue_depth: r.get_u64()?,
-                wal_records: r.get_u64()?,
-                wal_syncs: r.get_u64()?,
-                wal_checkpoints: r.get_u64()?,
-                wal_replayed: r.get_u64()?,
-                repl_is_follower: r.get_u64()?,
-                repl_commit_lsn: r.get_u64()?,
-                repl_replica_lsn: r.get_u64()?,
-                repl_followers: r.get_u64()?,
-                repl_min_follower_acked_lsn: r.get_u64()?,
-                rpc_in_flight: r.get_u64()?,
-                rpc_queue_stalls: r.get_u64()?,
-                rpc_worker_busy: r.get_u64()?,
-                rpc_requests_throttled: r.get_u64()?,
-            },
-        },
-        9 => CacheReply::Health {
-            report: HealthReport {
-                role_follower: r.get_u64()?,
-                commit_lsn: r.get_u64()?,
-                replica_lsn: r.get_u64()?,
-                repl_lag: match r.get_u64()? {
-                    u64::MAX => None,
-                    lag => Some(lag),
-                },
-                connections_active: r.get_u64()?,
-                rpc_in_flight: r.get_u64()?,
-                rpc_queue_stalls: r.get_u64()?,
-                rpc_worker_busy: r.get_u64()?,
-                rpc_workers: r.get_u64()?,
-                rpc_requests_throttled: r.get_u64()?,
-                slow_consumer_evictions: r.get_u64()?,
-                automaton_unregistrations: r.get_u64()?,
-            },
         },
         10 => CacheReply::Throttled {
             retry_after_ms: r.get_u64()?,
@@ -725,6 +657,45 @@ mod tests {
         // A report with no pool size is "not saturated", not a
         // division by zero.
         assert_eq!(HealthReport::default().worker_saturation(), 0.0);
+    }
+
+    #[test]
+    fn views_read_counters_by_name_and_missing_names_read_zero() {
+        let snapshot = |counters: &[(&str, u64)]| pscache::MetricsSnapshot {
+            counters: counters.iter().map(|&(n, v)| (n.to_owned(), v)).collect(),
+            histograms: Vec::new(),
+        };
+        // An empty snapshot is an all-zero view, with no lag: nobody
+        // is replicating.
+        let empty = snapshot(&[]);
+        assert_eq!(ServerStats::from_snapshot(&empty), ServerStats::default());
+        assert_eq!(HealthReport::from_snapshot(&empty), HealthReport::default());
+
+        let primary = snapshot(&[
+            ("repl_commit_lsn", 40),
+            ("repl_replica_lsn", 40),
+            ("repl_min_follower_acked_lsn", 33),
+            ("wal_records", 41),
+            ("rpc_workers", 4),
+            ("rpc_worker_busy", 3),
+        ]);
+        let stats = ServerStats::from_snapshot(&primary);
+        assert_eq!(
+            (
+                stats.repl_commit_lsn,
+                stats.wal_records,
+                stats.rpc_worker_busy
+            ),
+            (40, 41, 3)
+        );
+        let report = HealthReport::from_snapshot(&primary);
+        assert_eq!((report.commit_lsn, report.replica_lsn), (40, 40));
+        assert_eq!(report.repl_lag, None, "no follower attached");
+        assert!((report.worker_saturation() - 0.75).abs() < f64::EPSILON);
+
+        let mut replicated = primary.clone();
+        replicated.counters.push(("repl_followers".into(), 1));
+        assert_eq!(HealthReport::from_snapshot(&replicated).repl_lag, Some(7));
     }
 
     fn round_trip_server(msg: ServerMessage) {
@@ -771,12 +742,6 @@ mod tests {
             token: None,
             trace: None,
             request: Request::Ping,
-        });
-        round_trip_client(ClientMessage {
-            seq: 7,
-            token: None,
-            trace: None,
-            request: Request::ServerStats,
         });
         round_trip_client(ClientMessage {
             seq: 6,
@@ -853,66 +818,6 @@ mod tests {
             },
         });
         round_trip_server(ServerMessage::Reply {
-            seq: 9,
-            reply: CacheReply::Stats {
-                stats: ServerStats {
-                    connections_accepted: 1,
-                    connections_active: 2,
-                    requests_served: 3,
-                    notifications_routed: 4,
-                    automata_active: 5,
-                    events_delivered: 6,
-                    events_processed: 7,
-                    events_skipped_by_prefilter: 8,
-                    automaton_queue_depth: 9,
-                    automaton_max_queue_depth: 10,
-                    wal_records: 11,
-                    wal_syncs: 12,
-                    wal_checkpoints: 13,
-                    wal_replayed: 14,
-                    repl_is_follower: 1,
-                    repl_commit_lsn: 15,
-                    repl_replica_lsn: 16,
-                    repl_followers: 17,
-                    repl_min_follower_acked_lsn: 18,
-                    rpc_in_flight: 19,
-                    rpc_queue_stalls: 20,
-                    rpc_worker_busy: 21,
-                    rpc_requests_throttled: 22,
-                },
-            },
-        });
-        round_trip_server(ServerMessage::Reply {
-            seq: 10,
-            reply: CacheReply::Health {
-                report: HealthReport {
-                    role_follower: 1,
-                    commit_lsn: 2,
-                    replica_lsn: 3,
-                    repl_lag: Some(4),
-                    connections_active: 5,
-                    rpc_in_flight: 6,
-                    rpc_queue_stalls: 7,
-                    rpc_worker_busy: 8,
-                    rpc_workers: 9,
-                    rpc_requests_throttled: 10,
-                    slow_consumer_evictions: 11,
-                    automaton_unregistrations: 12,
-                },
-            },
-        });
-        // No follower attached: the lag is absent, not zero, and must
-        // survive the wire as such.
-        round_trip_server(ServerMessage::Reply {
-            seq: 12,
-            reply: CacheReply::Health {
-                report: HealthReport {
-                    repl_lag: None,
-                    ..HealthReport::default()
-                },
-            },
-        });
-        round_trip_server(ServerMessage::Reply {
             seq: 11,
             reply: CacheReply::Throttled {
                 retry_after_ms: 250,
@@ -935,12 +840,6 @@ mod tests {
                 values: vec![Scalar::Int(1)],
                 upsert: false,
             },
-        });
-        round_trip_client(ClientMessage {
-            seq: 9,
-            token: None,
-            trace: None,
-            request: Request::Health,
         });
         // The token flag byte only admits 0 and 1.
         let mut bytes = ClientMessage {

@@ -47,8 +47,8 @@ use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink, Wri
 
 use crate::error::{Error, Result};
 use crate::exec::{
-    commit_run, health_report, notification_message, req_kind, stage_request, teardown_registered,
-    RequestCtx, StatsInner,
+    commit_run, notification_message, req_kind, stage_request, teardown_registered, RequestCtx,
+    StatsInner,
 };
 use crate::framing::{fragment, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
 use crate::message::{CacheReply, ClientMessage, Request, ServerMessage, ServerStats};
@@ -444,9 +444,10 @@ impl ReactorServer {
     }
 
     /// A snapshot of the server's counters, including the reactor's
-    /// in-flight depth and backpressure stalls.
+    /// in-flight depth and backpressure stalls: the
+    /// [`ServerStats`] view of what [`Request::Metrics`] answers.
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot(&self.cache)
+        ServerStats::from_snapshot(&self.stats.metrics(&self.cache))
     }
 
     /// Graceful shutdown: stop accepting, stop reading, execute every
@@ -767,9 +768,10 @@ fn accept_all(
 /// Drain readable bytes into the parser and decoded requests into the
 /// inbox, handing the connection to a worker when it goes busy.
 ///
-/// This is also where admission control lives: health probes are
-/// answered inline (never queued, so a probe gets its reply even with
-/// every worker wedged), and requests over the connection's rate, byte
+/// This is also where admission control lives: `Metrics` requests —
+/// which answer health probes and stats reads too — are answered inline
+/// (never queued, so a probe gets its reply even with every worker
+/// wedged), and requests over the connection's rate, byte
 /// or in-flight budget are answered with a typed `Throttled` rejection
 /// without ever reaching the worker pool.
 fn reactor_read(
@@ -793,40 +795,26 @@ fn reactor_read(
                         Ok(Some(bytes)) => match ClientMessage::decode(&bytes) {
                             Ok(msg) => {
                                 stats.requests.fetch_add(1, Ordering::Release);
-                                if matches!(msg.request, Request::Health) {
-                                    // Readiness must not depend on worker
-                                    // availability: answer from atomics on
-                                    // the reactor thread. The outbox is
-                                    // flushed later this same poll
-                                    // iteration.
-                                    cache.obs().count_request(pscache::ReqKind::Control);
-                                    append_message(
-                                        &conn.shared.out,
-                                        &ServerMessage::Reply {
-                                            seq: msg.seq,
-                                            reply: CacheReply::Health {
-                                                report: health_report(cache, stats),
-                                            },
-                                        }
-                                        .encode(),
-                                    );
-                                    continue;
-                                }
                                 if matches!(msg.request, Request::Metrics) {
-                                    // Same contract as Health: a scraper
-                                    // must get its numbers from a node
-                                    // whose worker pool is saturated —
-                                    // which is exactly when the numbers
-                                    // matter. Snapshotting is lock-free
-                                    // reads of atomics, cheap enough for
-                                    // the poll thread.
+                                    // Readiness and telemetry must not
+                                    // depend on worker availability: a
+                                    // probe or scraper gets its numbers
+                                    // from a node whose worker pool is
+                                    // saturated — which is exactly when
+                                    // they matter. The snapshot reads
+                                    // atomics and takes only short
+                                    // registry locks, never one a worker
+                                    // holds across a wait, so it is cheap
+                                    // enough for the poll thread. The
+                                    // outbox is flushed later this same
+                                    // poll iteration.
                                     cache.obs().count_request(pscache::ReqKind::Control);
                                     append_message(
                                         &conn.shared.out,
                                         &ServerMessage::Reply {
                                             seq: msg.seq,
                                             reply: CacheReply::Metrics {
-                                                snapshot: cache.obs().snapshot(),
+                                                snapshot: stats.metrics(cache),
                                             },
                                         }
                                         .encode(),
@@ -849,9 +837,17 @@ fn reactor_read(
                                     );
                                     continue;
                                 }
-                                stats.in_flight.fetch_add(1, Ordering::Release);
                                 let received = Instant::now();
                                 let mut exec = conn.shared.exec.lock();
+                                if exec.defunct {
+                                    // Evicted by a worker while this loop
+                                    // was reading: its teardown discards
+                                    // the inbox, so a request queued now
+                                    // would never be answered nor leave
+                                    // `in_flight`.
+                                    return;
+                                }
+                                stats.in_flight.fetch_add(1, Ordering::Release);
                                 exec.inbox.push_back((msg, received));
                                 if !exec.executing {
                                     exec.executing = true;
@@ -1072,6 +1068,7 @@ mod tests {
     use crate::client::CacheClient;
     use gapl::event::Scalar;
     use pscache::CacheBuilder;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn bind_and_shutdown_do_not_hang() {
@@ -1162,6 +1159,285 @@ mod tests {
         assert_eq!(server.stats().rpc_in_flight, 0);
         drop(clients);
         server.shutdown();
+    }
+
+    /// Per-field differential: every field of the `server_stats()` and
+    /// `health()` views equals the cache-side accessor or the server
+    /// counter it came from, on a durable, recovered primary with a
+    /// follower, registered automata and pipelined writes — and every
+    /// name the views read is present in the snapshot, so a dropped
+    /// name is caught even where its value is 0.
+    #[test]
+    fn every_view_field_equals_its_source() {
+        let dir = std::env::temp_dir().join(format!("psrpc-views-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            // A first life, so the reopened primary replays records.
+            let first = CacheBuilder::new().durability(&dir).open().unwrap();
+            first
+                .execute("create table T (k varchar(8), v integer)")
+                .unwrap();
+            first
+                .insert("T", vec![Scalar::Str("a".into()), Scalar::Int(-1)])
+                .unwrap();
+            first.shutdown();
+        }
+        let primary = CacheBuilder::new()
+            .durability(&dir)
+            .replicate_to("127.0.0.1:0")
+            .rpc_workers(2)
+            .open()
+            .unwrap();
+        let follower = pscache::Cache::follow(primary.repl_addr().unwrap().to_string()).unwrap();
+        let server = ReactorServer::bind(primary.clone(), "127.0.0.1:0").unwrap();
+        let client = CacheClient::connect(server.local_addr()).unwrap();
+        for source in [
+            "subscribe t to T; behavior { send(t.v); }",
+            "subscribe t to T; behavior { if (t.k == 'a') send(t.v); }",
+        ] {
+            client.register_automaton(source).unwrap();
+        }
+        let gone = client
+            .register_automaton("subscribe t to T; behavior { }")
+            .unwrap();
+        client.unregister_automaton(gone).unwrap();
+        let pendings: Vec<_> = (0..64)
+            .map(|v| {
+                let k = if v % 4 == 0 { "a" } else { "b" };
+                client
+                    .begin_request(Request::Insert {
+                        table: "T".into(),
+                        values: vec![Scalar::Str(k.into()), Scalar::Int(v)],
+                        upsert: false,
+                    })
+                    .unwrap()
+            })
+            .collect();
+        for pending in pendings {
+            assert!(matches!(
+                pending.wait().unwrap(),
+                CacheReply::Inserted { .. }
+            ));
+        }
+        primary.checkpoint().unwrap();
+        assert!(primary.quiesce(Duration::from_secs(10)));
+        // Quiescent: every record acknowledged by the follower.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let repl = primary.repl_stats();
+            if repl.followers == 1
+                && repl.min_follower_acked_lsn >= repl.commit_lsn
+                && follower.replica_lsn() >= repl.commit_lsn
+            {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "follower never caught up: {repl:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let counters = &server.stats;
+        let load = |c: &AtomicU64| c.load(Ordering::Acquire);
+        let stats = client.server_stats().unwrap();
+        let served_at_stats = load(&counters.requests);
+        let health = client.health().unwrap();
+        let served_at_health = load(&counters.requests);
+        let snapshot = client.metrics().unwrap();
+
+        let wal = primary.wal_stats().unwrap();
+        let repl = primary.repl_stats();
+        let telemetry: Vec<_> = primary
+            .automata()
+            .into_iter()
+            .map(|id| primary.automaton_telemetry(id).unwrap())
+            .collect();
+        let sum = |f: fn(&pscache::AutomatonTelemetry) -> u64| telemetry.iter().map(f).sum();
+        let obs = primary.obs();
+        let stats_view: [(&str, u64, u64); 23] = [
+            (
+                "connections_accepted",
+                stats.connections_accepted,
+                load(&counters.accepted),
+            ),
+            (
+                "connections_active",
+                stats.connections_active,
+                load(&counters.active),
+            ),
+            ("requests_served", stats.requests_served, served_at_stats),
+            (
+                "notifications_routed",
+                stats.notifications_routed,
+                load(&counters.notifications),
+            ),
+            (
+                "automata_active",
+                stats.automata_active,
+                telemetry.len() as u64,
+            ),
+            (
+                "events_delivered",
+                stats.events_delivered,
+                sum(|t| t.delivered),
+            ),
+            (
+                "events_processed",
+                stats.events_processed,
+                sum(|t| t.processed),
+            ),
+            (
+                "events_skipped_by_prefilter",
+                stats.events_skipped_by_prefilter,
+                sum(|t| t.skipped_by_prefilter),
+            ),
+            (
+                "automaton_queue_depth",
+                stats.automaton_queue_depth,
+                sum(|t| t.queue_depth),
+            ),
+            (
+                "automaton_max_queue_depth",
+                stats.automaton_max_queue_depth,
+                telemetry.iter().map(|t| t.max_queue_depth).max().unwrap(),
+            ),
+            ("wal_records", stats.wal_records, wal.records),
+            ("wal_syncs", stats.wal_syncs, wal.syncs),
+            ("wal_checkpoints", stats.wal_checkpoints, wal.checkpoints),
+            ("wal_replayed", stats.wal_replayed, wal.replayed),
+            ("repl_is_follower", stats.repl_is_follower, 0),
+            ("repl_commit_lsn", stats.repl_commit_lsn, repl.commit_lsn),
+            ("repl_replica_lsn", stats.repl_replica_lsn, repl.replica_lsn),
+            (
+                "repl_followers",
+                stats.repl_followers,
+                repl.followers as u64,
+            ),
+            (
+                "repl_min_follower_acked_lsn",
+                stats.repl_min_follower_acked_lsn,
+                repl.min_follower_acked_lsn,
+            ),
+            (
+                "rpc_in_flight",
+                stats.rpc_in_flight,
+                load(&counters.in_flight),
+            ),
+            (
+                "rpc_queue_stalls",
+                stats.rpc_queue_stalls,
+                load(&counters.queue_stalls),
+            ),
+            (
+                "rpc_worker_busy",
+                stats.rpc_worker_busy,
+                load(&counters.worker_busy),
+            ),
+            (
+                "rpc_requests_throttled",
+                stats.rpc_requests_throttled,
+                load(&counters.requests_throttled),
+            ),
+        ];
+        let health_view: [(&str, u64, u64); 11] = [
+            ("repl_is_follower", health.role_follower, 0),
+            ("repl_commit_lsn", health.commit_lsn, primary.commit_lsn()),
+            (
+                "repl_replica_lsn",
+                health.replica_lsn,
+                primary.replica_lsn(),
+            ),
+            (
+                "connections_active",
+                health.connections_active,
+                load(&counters.active),
+            ),
+            (
+                "rpc_in_flight",
+                health.rpc_in_flight,
+                load(&counters.in_flight),
+            ),
+            (
+                "rpc_queue_stalls",
+                health.rpc_queue_stalls,
+                load(&counters.queue_stalls),
+            ),
+            (
+                "rpc_worker_busy",
+                health.rpc_worker_busy,
+                load(&counters.worker_busy),
+            ),
+            (
+                "rpc_workers",
+                health.rpc_workers,
+                primary.rpc_workers() as u64,
+            ),
+            (
+                "rpc_requests_throttled",
+                health.rpc_requests_throttled,
+                load(&counters.requests_throttled),
+            ),
+            (
+                "slow_consumer_evictions",
+                health.slow_consumer_evictions,
+                load(&obs.slow_consumer_evictions),
+            ),
+            (
+                "automaton_unregistrations",
+                health.automaton_unregistrations,
+                load(&obs.automaton_unregistrations),
+            ),
+        ];
+        for (name, view, source) in stats_view.iter().chain(&health_view) {
+            assert_eq!(view, source, "`{name}` differs from its source");
+            assert!(
+                snapshot.counter(name).is_some(),
+                "`{name}` missing from the snapshot"
+            );
+        }
+        assert_eq!(
+            health.repl_lag,
+            Some(repl.commit_lsn - repl.min_follower_acked_lsn)
+        );
+        assert_eq!(served_at_health, served_at_stats + 1);
+        // The workload reached every source the mutation check needs:
+        // nothing above passed by comparing zero with zero by accident.
+        for (name, value) in [
+            ("wal_replayed", stats.wal_replayed),
+            ("wal_checkpoints", stats.wal_checkpoints),
+            (
+                "events_skipped_by_prefilter",
+                stats.events_skipped_by_prefilter,
+            ),
+            ("notifications_routed", stats.notifications_routed),
+            (
+                "repl_min_follower_acked_lsn",
+                stats.repl_min_follower_acked_lsn,
+            ),
+            (
+                "automaton_unregistrations",
+                health.automaton_unregistrations,
+            ),
+        ] {
+            assert!(value > 0, "`{name}` is 0");
+        }
+
+        // The follower node's own view reports its role and watermark.
+        let follower_server = ReactorServer::bind(follower.clone(), "127.0.0.1:0").unwrap();
+        let probe = CacheClient::connect(follower_server.local_addr()).unwrap();
+        let report = probe.health().unwrap();
+        assert_eq!(report.role_follower, 1);
+        assert_eq!(report.replica_lsn, follower.replica_lsn());
+        assert_eq!(report.repl_lag, None);
+
+        drop(probe);
+        follower_server.shutdown();
+        drop(client);
+        server.shutdown();
+        follower.shutdown();
+        primary.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

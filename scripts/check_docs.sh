@@ -10,7 +10,10 @@
 #      a source file cannot leave a dangling code pointer behind;
 #   4. every row of docs/architecture.md's "Ordering guarantees,
 #      summarised" table either says it promises nothing or names
-#      `tests/<file>.rs::<fn>` tests, and each named file has that fn.
+#      `tests/<file>.rs::<fn>` tests, and each named file has that fn;
+#   5. every `Request::<Variant>` and `CacheReply::<Variant>` quoted in
+#      README.md and docs/*.md is declared in crates/psrpc/src/message.rs,
+#      so deleting a wire message cannot leave the docs describing it.
 #
 # Also available as `cargo docs-check` (alias in .cargo/config.toml)
 # for step 1 only.
@@ -70,5 +73,23 @@ if [ -n "$unchecked" ]; then
     exit 1
 fi
 
+echo "==> wire messages quoted in README.md and docs/*.md exist"
+# The variants of `pub enum $1` in message.rs: one per line, each
+# either a unit variant (`Ping,`) or the head of a struct variant.
+variants() {
+    sed -n "/^pub enum $1 {/,/^}/p" crates/psrpc/src/message.rs |
+        sed -nE 's/^    ([A-Z][A-Za-z0-9]*)( \{|,).*/\1/p'
+}
+unknown=$(grep -ohE '\b(Request|CacheReply)::[A-Z][A-Za-z0-9]*' README.md docs/*.md |
+    sort -u |
+    while read -r quoted; do
+        variants "${quoted%%::*}" | grep -qx "${quoted##*::}" || echo "  $quoted"
+    done)
+if [ -n "$unknown" ]; then
+    echo "README.md / docs/*.md quote wire messages message.rs does not declare:" >&2
+    echo "$unknown" >&2
+    exit 1
+fi
+
 echo "docs are warning-free, every doc example passes, every code pointer resolves,"
-echo "every ordering guarantee names an existing test"
+echo "every ordering guarantee names an existing test, every quoted wire message exists"

@@ -81,8 +81,7 @@ fn op_request(kind: usize, v: i64) -> Request {
             command: format!("insert into T values ({v})"),
         },
         4 => Request::Ping,
-        5 => Request::Health,
-        6 => Request::Metrics,
+        5 => Request::Metrics,
         _ => Request::InsertBatch {
             table: "T".into(),
             rows: (0..3).map(|i| vec![Scalar::Int(v + i)]).collect(),
@@ -96,7 +95,7 @@ fn op_kind(kind: usize) -> ReqKind {
     match kind {
         0 | 1 => ReqKind::Insert,
         2 | 3 => ReqKind::Execute,
-        4..=6 => ReqKind::Control,
+        4 | 5 => ReqKind::Control,
         _ => ReqKind::InsertBatch,
     }
 }
@@ -133,12 +132,12 @@ proptest! {
 
     /// The per-kind request counters over the wire equal the oracle's
     /// count of the script, on both transports — including the
-    /// health/metrics requests the reactor answers inline on its poll
+    /// metrics requests the reactor answers inline on its poll
     /// thread and the blocking server answers through the shared
     /// request path.
     #[test]
     fn request_counters_match_the_script_oracle_on_both_servers(
-        ops in proptest::collection::vec((0usize..8, -50i64..50), 1..40),
+        ops in proptest::collection::vec((0usize..7, -50i64..50), 1..40),
     ) {
         let mut expected = [0u64; 6];
         for &(kind, _) in &ops {

@@ -293,3 +293,182 @@ fn randomised_counting_automaton_agrees_with_sql_aggregation() {
         assert_eq!(stored.values()[1], Scalar::Int(expected), "host {host}");
     }
 }
+
+/// One valid encoding of every request and reply shape, tagged with the
+/// decoder it belongs to (`true` for [`ClientMessage`]) — including a
+/// busy `Metrics` reply: a node's whole snapshot after real traffic.
+fn wire_corpus() -> &'static [(bool, Vec<u8>)] {
+    static CORPUS: std::sync::OnceLock<Vec<(bool, Vec<u8>)>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let cache = CacheBuilder::new().manual_clock().build();
+        cache
+            .execute("create table T (k varchar(8), v integer)")
+            .unwrap();
+        let (_id, _notes) = cache
+            .register_automaton("subscribe t to T; behavior { if (t.k == 'a') send(t.v); }")
+            .unwrap();
+        for v in 0..50 {
+            let k = if v % 3 == 0 { "a" } else { "b" };
+            cache
+                .insert("T", vec![Scalar::from(k), Scalar::Int(v)])
+                .unwrap();
+            cache.execute("select * from T where v > 10").unwrap();
+        }
+        assert!(cache.quiesce(Duration::from_secs(10)));
+        for i in 0..40 {
+            cache.obs().record_rpc(pscache::OpTrace {
+                trace_id: i,
+                kind: pscache::ReqKind::Insert,
+                table: Some("T".into()),
+                queue_ns: 37 * i,
+                exec_ns: 1_000 + 91 * i,
+                flush_ns: 10 + i,
+            });
+        }
+        let busy = cache.metrics();
+        assert!(!busy.histograms.is_empty() && !busy.counters.is_empty());
+
+        let row = vec![Scalar::from("abc"), Scalar::Int(-7), Scalar::Real(1.5)];
+        let requests = [
+            Request::Execute {
+                command: "select * from T".into(),
+            },
+            Request::Insert {
+                table: "T".into(),
+                values: row.clone(),
+                upsert: true,
+            },
+            Request::InsertBatch {
+                table: "T".into(),
+                rows: vec![row.clone(), vec![Scalar::Tstamp(9), Scalar::Bool(true)]],
+                upsert: false,
+            },
+            Request::RegisterAutomaton {
+                source: "subscribe t to T; behavior { }".into(),
+            },
+            Request::UnregisterAutomaton { id: 3 },
+            Request::Ping,
+            Request::Metrics,
+        ];
+        let mut corpus: Vec<(bool, Vec<u8>)> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, request)| {
+                let msg = ClientMessage {
+                    seq: i as u64,
+                    token: (i % 2 == 0).then_some((7, i as u64)),
+                    trace: (i % 3 == 0).then_some(0xFEED),
+                    request,
+                };
+                (true, msg.encode())
+            })
+            .collect();
+        let replies = [
+            CacheReply::Created,
+            CacheReply::Inserted {
+                replaced: true,
+                tstamp: 4,
+            },
+            CacheReply::InsertedBatch {
+                tstamps: vec![1, 2, 3],
+            },
+            CacheReply::Rows {
+                columns: vec!["k".into(), "v".into(), "r".into()],
+                rows: vec![WireRow {
+                    values: row.clone(),
+                    tstamp: 5,
+                }],
+            },
+            CacheReply::Registered { id: 3 },
+            CacheReply::Unregistered,
+            CacheReply::Pong,
+            CacheReply::Error {
+                message: "no such table `X`".into(),
+            },
+            CacheReply::Throttled { retry_after_ms: 9 },
+            CacheReply::NotMine { partition: 2 },
+            CacheReply::Metrics { snapshot: busy },
+        ];
+        corpus.extend(replies.into_iter().enumerate().map(|(i, reply)| {
+            (
+                false,
+                ServerMessage::Reply {
+                    seq: i as u64,
+                    reply,
+                }
+                .encode(),
+            )
+        }));
+        corpus.push((
+            false,
+            ServerMessage::Notification {
+                automaton: 3,
+                values: row,
+                at: 11,
+            }
+            .encode(),
+        ));
+        corpus
+    })
+}
+
+/// Feed both decoders; they may accept or reject, never panic.
+fn decode_both(bytes: &[u8]) -> (bool, bool) {
+    (
+        ClientMessage::decode(bytes).is_ok(),
+        ServerMessage::decode(bytes).is_ok(),
+    )
+}
+
+/// Every strict prefix of every valid encoding is rejected by its own
+/// decoder — a truncated frame is an error, never a shorter message —
+/// and neither decoder panics on it.
+#[test]
+fn every_truncation_of_a_valid_encoding_is_rejected() {
+    for (client, bytes) in wire_corpus() {
+        let own =
+            |(client_ok, server_ok): (bool, bool)| if *client { client_ok } else { server_ok };
+        assert!(own(decode_both(bytes)), "the full encoding must decode");
+        for len in 0..bytes.len() {
+            assert!(
+                !own(decode_both(&bytes[..len])),
+                "a {len}-byte prefix of a {}-byte encoding decoded",
+                bytes.len()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Decoder robustness: arbitrary bytes, truncations and single-bit
+    /// flips of valid encodings (a busy `Metrics` reply among them)
+    /// make `ClientMessage::decode` and `ServerMessage::decode` return
+    /// `Ok` or `Err` — a panic fails the property.
+    #[test]
+    fn decoders_never_panic_on_hostile_bytes(
+        noise in proptest::collection::vec(any::<u8>(), 0..512),
+        pick in 0usize..1024,
+        flips in proptest::collection::vec((0usize..1 << 20, 0u32..8), 1..16),
+        cut in 0usize..1 << 20,
+    ) {
+        decode_both(&noise);
+        let corpus = wire_corpus();
+        let (_, valid) = &corpus[pick % corpus.len()];
+        for &(at, bit) in &flips {
+            let mut flipped = valid.clone();
+            flipped[at % valid.len()] ^= 1 << bit;
+            decode_both(&flipped);
+            decode_both(&flipped[..cut % (flipped.len() + 1)]);
+        }
+        // A valid message with garbage appended, and garbage with a
+        // valid tag byte in front.
+        let mut extended = valid.clone();
+        extended.extend_from_slice(&noise);
+        decode_both(&extended);
+        let mut tagged = valid[..valid.len().min(17)].to_vec();
+        tagged.extend_from_slice(&noise);
+        decode_both(&tagged);
+    }
+}

@@ -8,8 +8,10 @@
 //! * a client that floods far past its rate quota is answered with
 //!   typed `Throttled` rejections at the reactor — it cannot starve
 //!   well-behaved clients (≥ 50% of their isolated throughput) and it
-//!   cannot starve the health probe (every `Health` RPC answers fast,
-//!   because the reactor thread answers it inline);
+//!   cannot starve the health probe (every probe answers fast, because
+//!   the reactor thread answers `Metrics` inline);
+//! * a worker wedged behind a long automaton run cannot hold up
+//!   `server_stats()` or `health()` either;
 //! * a client that registers an automaton and then stops draining its
 //!   socket is evicted once its outbox passes the configured bound —
 //!   bounded memory per connection, neighbours unaffected;
@@ -135,7 +137,7 @@ fn a_flooding_client_is_throttled_while_neighbours_and_health_stay_responsive() 
     };
 
     // Health probe thread: every probe must answer fast *during* the
-    // flood — the reactor answers Health inline, off the worker pool.
+    // flood — the reactor answers Metrics inline, off the worker pool.
     let probe = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
@@ -193,6 +195,80 @@ fn a_flooding_client_is_throttled_while_neighbours_and_health_stay_responsive() 
         worst_probe < Duration::from_millis(100),
         "a health probe took {worst_probe:?} during the flood"
     );
+    server.shutdown();
+}
+
+/// The control plane does not queue behind a wedged worker. The only
+/// RPC worker is stuck in an unregister that waits for the drain of an
+/// automaton busy in a bounded GAPL loop on the only automaton worker;
+/// a second connection's `server_stats()` and `health()` still answer
+/// within a second, while the wedge is still in force.
+#[test]
+fn a_wedged_worker_does_not_block_stats_or_health() {
+    const SPIN_MS: i64 = 4_000;
+    let cache = CacheBuilder::new()
+        .rpc_workers(1)
+        .automaton_workers(1)
+        .build();
+    cache.execute("create table Spin (ms integer)").unwrap();
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let owner = CacheClient::connect(server.local_addr()).unwrap();
+    // Spins for `t.ms` milliseconds of wall clock, then returns: the
+    // loop is bounded, so the node still shuts down cleanly.
+    let spinner = owner
+        .register_automaton(
+            "subscribe t to Spin; tstamp start; behavior { start = tstampNow(); \
+             while (tstampDiff(tstampNow(), start) < t.ms * 1000000) { } }",
+        )
+        .unwrap();
+    owner.insert("Spin", vec![Scalar::Int(SPIN_MS)]).unwrap();
+    let unregistered = Arc::new(AtomicBool::new(false));
+    let wedge = {
+        let unregistered = Arc::clone(&unregistered);
+        std::thread::spawn(move || {
+            let result = owner.unregister_automaton(spinner);
+            unregistered.store(true, Ordering::Release);
+            result
+        })
+    };
+    // The unregister is on the worker once the automaton has left the
+    // registry while the worker is still busy waiting for its drain.
+    assert!(
+        wait_until(Duration::from_secs(2), || {
+            cache.automata().is_empty() && server.stats().rpc_worker_busy == 1
+        }),
+        "the unregister never reached the worker"
+    );
+
+    let probe = CacheClient::connect(server.local_addr()).unwrap();
+    let t = Instant::now();
+    let stats = probe.server_stats().unwrap();
+    let stats_took = t.elapsed();
+    assert!(
+        !unregistered.load(Ordering::Acquire),
+        "the wedge cleared before server_stats answered"
+    );
+    let t = Instant::now();
+    let health = probe.health().unwrap();
+    let health_took = t.elapsed();
+    assert!(
+        !unregistered.load(Ordering::Acquire),
+        "the wedge cleared before health answered"
+    );
+    assert!(
+        stats_took < Duration::from_secs(1),
+        "server_stats took {stats_took:?}"
+    );
+    assert!(
+        health_took < Duration::from_secs(1),
+        "health took {health_took:?}"
+    );
+    // Both replies saw the wedged worker.
+    assert_eq!(stats.rpc_worker_busy, 1);
+    assert_eq!((health.rpc_worker_busy, health.rpc_workers), (1, 1));
+
+    wedge.join().unwrap().unwrap();
+    drop(probe);
     server.shutdown();
 }
 
