@@ -100,13 +100,24 @@ pub struct Notification {
 ///   on the destination must be decided under that same acquisition and
 ///   take effect once;
 /// * one automaton's notifications are delivered in its worker's program
-///   order; order across automata is unspecified.
+///   order; order across automata is unspecified;
+/// * a sink may defer the wake-up that tells its consumer new bytes are
+///   there until [`flush`](NotificationSink::flush), which the owning
+///   worker calls once per drained run of its mailbox on every automaton
+///   that ran in it, after the `initialization` clause, before it
+///   acknowledges the automaton's unregistration and before it exits —
+///   so a deferred wake is always paid before the worker blocks again
+///   and before the `Unregistered` reply can be sent.
 ///
 /// [`Cache::unregister_automaton`]: crate::Cache::unregister_automaton
 pub trait NotificationSink {
     /// Deliver one notification; `false` means the destination is gone
     /// (the automaton keeps running — see `HostInterface::send`).
     fn deliver(&self, note: Notification) -> bool;
+
+    /// Pay any wake-up `deliver` deferred. The default does nothing:
+    /// a sink that wakes its consumer on every delivery owes none.
+    fn flush(&self) {}
 }
 
 impl NotificationSink for Sender<Notification> {
@@ -285,52 +296,92 @@ impl Drop for Executor {
 }
 
 /// One worker: owns the VMs of the automata pinned to it and consumes
-/// its mailbox in FIFO order.
+/// its mailbox in FIFO order, in drained runs. A run is the message
+/// `recv` returned plus those already queued behind it at that moment —
+/// bounded, so a busy mailbox cannot postpone the run's end — and it
+/// ends by flushing the sink of every automaton that ran in it, so a
+/// burst of notifications costs its destination one wake-up, not one
+/// per notification.
 fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
     struct Runner {
         vm: Vm,
         host: CacheHost,
+        /// Ran in the current run and is listed in `ran`.
+        ran: bool,
     }
     let mut runners: HashMap<u64, Runner> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Register(cmd) => {
-                let mut host = CacheHost {
-                    cache: cmd.cache,
-                    automaton: cmd.id,
-                    notifier: cmd.notifier,
-                    stats: cmd.stats,
-                };
-                let mut vm = Vm::new(cmd.program);
-                if let Err(e) = vm.run_initialization(&mut host) {
-                    host.stats.errors.push(format!("initialization: {e}"));
+    let mut ran: Vec<u64> = Vec::new();
+    while let Ok(first) = rx.recv() {
+        let queued = rx.len();
+        for msg in std::iter::once(first).chain(rx.try_iter().take(queued)) {
+            match msg {
+                WorkerMsg::Register(cmd) => {
+                    let mut host = CacheHost {
+                        cache: cmd.cache,
+                        automaton: cmd.id,
+                        notifier: cmd.notifier,
+                        stats: cmd.stats,
+                    };
+                    let mut vm = Vm::new(cmd.program);
+                    if let Err(e) = vm.run_initialization(&mut host) {
+                        host.stats.errors.push(format!("initialization: {e}"));
+                    }
+                    host.notifier.flush();
+                    runners.insert(
+                        cmd.id.0,
+                        Runner {
+                            vm,
+                            host,
+                            ran: false,
+                        },
+                    );
                 }
-                runners.insert(cmd.id.0, Runner { vm, host });
-            }
-            WorkerMsg::Event {
-                id,
-                topic,
-                tuple,
-                enqueued,
-            } => {
-                obs.dispatch_queue_ns.record_duration(enqueued.elapsed());
-                // An absent runner means the automaton was unregistered
-                // while this event was in flight; discarding is the
-                // deterministic choice (the drain ack has already been
-                // sent, so nobody is waiting on this event).
-                let Some(runner) = runners.get_mut(&id.0) else {
-                    continue;
-                };
-                if let Err(e) = runner.vm.run_behavior(&topic, &tuple, &mut runner.host) {
-                    runner.host.stats.errors.push(format!("behavior: {e}"));
+                WorkerMsg::Event {
+                    id,
+                    topic,
+                    tuple,
+                    enqueued,
+                } => {
+                    obs.dispatch_queue_ns.record_duration(enqueued.elapsed());
+                    // An absent runner means the automaton was
+                    // unregistered while this event was in flight;
+                    // discarding is the deterministic choice (the drain
+                    // ack has already been sent, so nobody is waiting on
+                    // this event).
+                    let Some(runner) = runners.get_mut(&id.0) else {
+                        continue;
+                    };
+                    if let Err(e) = runner.vm.run_behavior(&topic, &tuple, &mut runner.host) {
+                        runner.host.stats.errors.push(format!("behavior: {e}"));
+                    }
+                    runner.host.stats.processed.fetch_add(1, Ordering::Release);
+                    if !runner.ran {
+                        runner.ran = true;
+                        ran.push(id.0);
+                    }
                 }
-                runner.host.stats.processed.fetch_add(1, Ordering::Release);
+                WorkerMsg::Unregister { id, ack } => {
+                    // Every notification is handed over before the ack.
+                    if let Some(runner) = runners.remove(&id.0) {
+                        runner.host.notifier.flush();
+                    }
+                    let _ = ack.send(());
+                }
+                WorkerMsg::Shutdown => {
+                    flush_ran(&mut runners, &mut ran);
+                    return;
+                }
             }
-            WorkerMsg::Unregister { id, ack } => {
-                runners.remove(&id.0);
-                let _ = ack.send(());
+        }
+        flush_ran(&mut runners, &mut ran);
+    }
+
+    fn flush_ran(runners: &mut HashMap<u64, Runner>, ran: &mut Vec<u64>) {
+        for id in ran.drain(..) {
+            if let Some(runner) = runners.get_mut(&id) {
+                runner.ran = false;
+                runner.host.notifier.flush();
             }
-            WorkerMsg::Shutdown => break,
         }
     }
 }

@@ -36,13 +36,17 @@ pub(crate) struct StatsInner {
     /// client policy; the blocking loop, the differential oracle,
     /// enforces none).
     pub(crate) requests_throttled: AtomicU64,
+    /// Reactor doorbell rings (`Waker` pipe writes); the blocking loop
+    /// has no doorbell and counts none.
+    pub(crate) doorbell_rings: AtomicU64,
 }
 
 impl StatsInner {
     /// The node's one control-plane answer: the cache's
     /// [`Cache::metrics`] snapshot plus this server's counters, each
     /// named after the [`ServerStats`](crate::message::ServerStats)
-    /// field it fills. A remote client reads group-commit behaviour,
+    /// field it fills (`rpc_doorbell_rings` fills none; it is read by
+    /// name). A remote client reads group-commit behaviour,
     /// replication lag and worker saturation from it without shell
     /// access to the cache host; both transports answer
     /// [`Request::Metrics`] with it.
@@ -58,6 +62,7 @@ impl StatsInner {
                 ("rpc_queue_stalls", &self.queue_stalls),
                 ("rpc_worker_busy", &self.worker_busy),
                 ("rpc_requests_throttled", &self.requests_throttled),
+                ("rpc_doorbell_rings", &self.doorbell_rings),
             ]
             .map(|(name, v)| (name.to_owned(), v.load(Ordering::Acquire))),
         );

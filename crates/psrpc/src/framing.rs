@@ -29,32 +29,22 @@ pub const FRAGMENT_HEADER: usize = 4;
 /// Maximum payload bytes carried by one fragment.
 pub const FRAGMENT_PAYLOAD: usize = FRAGMENT_SIZE - FRAGMENT_HEADER;
 
-/// Split `message` into wire fragments.
+/// Append the wire fragments of `message` to `out`: headers and payload
+/// written in place, no intermediate buffer.
 ///
 /// Every message produces at least one fragment (an empty message produces
 /// a single empty, last fragment).
-pub fn fragment(message: &[u8]) -> Vec<Vec<u8>> {
-    let mut fragments = Vec::with_capacity(message.len() / FRAGMENT_PAYLOAD + 1);
-    let mut chunks = message.chunks(FRAGMENT_PAYLOAD).peekable();
-    if message.is_empty() {
-        fragments.push(encode_fragment(&[], true));
-        return fragments;
+pub fn fragment_into(out: &mut Vec<u8>, message: &[u8]) {
+    let n = fragments_for_len(message.len());
+    out.reserve(n * FRAGMENT_HEADER + message.len());
+    let mut chunks = message.chunks(FRAGMENT_PAYLOAD);
+    for i in 1..=n {
+        let payload = chunks.next().unwrap_or_default();
+        out.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+        out.push(u8::from(i == n));
+        out.push(0);
+        out.extend_from_slice(payload);
     }
-    while let Some(chunk) = chunks.next() {
-        let last = chunks.peek().is_none();
-        fragments.push(encode_fragment(chunk, last));
-    }
-    fragments
-}
-
-fn encode_fragment(payload: &[u8], last: bool) -> Vec<u8> {
-    debug_assert!(payload.len() <= FRAGMENT_PAYLOAD);
-    let mut out = Vec::with_capacity(FRAGMENT_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    out.push(u8::from(last));
-    out.push(0);
-    out.extend_from_slice(payload);
-    out
 }
 
 /// Write a full logical message to `writer`, fragmenting as needed.
@@ -63,9 +53,9 @@ fn encode_fragment(payload: &[u8], last: bool) -> Vec<u8> {
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_message<W: Write>(writer: &mut W, message: &[u8]) -> Result<()> {
-    for frag in fragment(message) {
-        writer.write_all(&frag)?;
-    }
+    let mut wire = Vec::new();
+    fragment_into(&mut wire, message);
+    writer.write_all(&wire)?;
     writer.flush()?;
     Ok(())
 }
@@ -148,6 +138,24 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn framed(message: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        fragment_into(&mut wire, message);
+        wire
+    }
+
+    /// The fragments of a framed wire, split by their headers.
+    fn fragments(mut wire: &[u8]) -> Vec<&[u8]> {
+        let mut frags = Vec::new();
+        while !wire.is_empty() {
+            let len = u16::from_le_bytes([wire[0], wire[1]]) as usize;
+            let (frag, rest) = wire.split_at(FRAGMENT_HEADER + len);
+            frags.push(frag);
+            wire = rest;
+        }
+        frags
+    }
+
     fn round_trip(message: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
         write_message(&mut wire, message).unwrap();
@@ -158,7 +166,7 @@ mod tests {
     #[test]
     fn small_messages_fit_one_fragment() {
         let msg = b"hello".to_vec();
-        assert_eq!(fragment(&msg).len(), 1);
+        assert_eq!(fragments(&framed(&msg)).len(), 1);
         assert_eq!(round_trip(&msg), msg);
         assert_eq!(fragments_for_len(msg.len()), 1);
     }
@@ -166,14 +174,15 @@ mod tests {
     #[test]
     fn empty_message_round_trips() {
         assert_eq!(round_trip(&[]), Vec::<u8>::new());
-        assert_eq!(fragment(&[]).len(), 1);
+        assert_eq!(fragments(&framed(&[])).len(), 1);
         assert_eq!(fragments_for_len(0), 1);
     }
 
     #[test]
     fn large_messages_fragment_at_the_documented_boundary() {
         let msg: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-        let frags = fragment(&msg);
+        let wire = framed(&msg);
+        let frags = fragments(&wire);
         assert_eq!(frags.len(), fragments_for_len(5000));
         assert!(frags.iter().all(|f| f.len() <= FRAGMENT_SIZE));
         // All but the last fragment are full-size.
@@ -219,7 +228,7 @@ mod tests {
 
         // A non-last fragment with nothing after it.
         let msg: Vec<u8> = vec![1u8; FRAGMENT_PAYLOAD];
-        let mut frag_bytes = fragment(&msg)[0].clone();
+        let mut frag_bytes = framed(&msg);
         frag_bytes[2] = 0; // force "not last"
         let mut cursor = Cursor::new(frag_bytes);
         assert!(read_message(&mut cursor).is_err());

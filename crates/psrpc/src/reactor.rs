@@ -50,7 +50,7 @@ use crate::exec::{
     commit_run, notification_message, req_kind, stage_request, teardown_registered, RequestCtx,
     StatsInner,
 };
-use crate::framing::{fragment, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
+use crate::framing::{fragment_into, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
 use crate::message::{CacheReply, ClientMessage, Request, ServerMessage, ServerStats};
 use crate::poll::{self, PollFd, Waker, POLL_IN, POLL_OUT};
 
@@ -62,9 +62,11 @@ const WORKER_BUDGET: usize = 32;
 /// single connection puts behind one durability wait, and the bound on
 /// how many later requests an insert's reply can sit behind. Sixteen
 /// already turns a pipelined writer's cost from one `fsync` per record
-/// into one per sixteen; it is not `WORKER_BUDGET` because psbench's
-/// closed loop cannot yet measure past ≈ 46k ticks/s (ROADMAP item
-/// 1(a)) and runs of 32 go faster than that on a fast day.
+/// into one per sixteen. It was set below `WORKER_BUDGET` to keep
+/// psbench's `mixed_cep` closed loop under the ≈ 46k ticks/s its sample
+/// buffer can measure (ROADMAP item 1(a)). That no longer holds: at 16
+/// the loop already runs past ≈ 60k upserts/s, and `ops_per_s` then
+/// reads 0. The value stays until the instrument can measure a choice.
 const RUN_LIMIT: usize = 16;
 
 /// How long [`ReactorServer::shutdown`] lets connections drain before
@@ -113,8 +115,20 @@ struct ConnShared {
     /// Automata this connection registered; touched only by the single
     /// active worker, including at teardown.
     registered: Mutex<HashSet<AutomatonId>>,
-    /// The reactor's doorbell, rung whenever `out` gains bytes.
+    /// The reactor's doorbell. A worker that appends to `out` rings it
+    /// (through [`ConnShared::ring`]) before it next blocks or moves on:
+    /// at once for a reply after a commit wait, at a claim's next
+    /// barrier or exit for the rest of its replies, once per drained
+    /// automaton-pool run for notifications (`ring_owed`). The reactor
+    /// thread's own appends need none: it flushes before it polls.
     waker: Arc<Waker>,
+    /// A notification was appended to `out` without ringing; the next
+    /// [`ReactorRoute::flush`] that clears it rings, and every
+    /// delivering pool worker flushes before it blocks, so the ring is
+    /// never lost — only shared. Set with `Release` after the append and
+    /// cleared with an `AcqRel` swap, so the flush that rings has seen
+    /// every append whose flag it cleared.
+    ring_owed: AtomicBool,
     /// Server counters, reachable from the notification delivery path
     /// (which holds only this struct) so it can account.
     stats: Arc<StatsInner>,
@@ -130,6 +144,28 @@ struct ConnShared {
     /// reactor completes (and records) each one when the outbox next
     /// drains to empty.
     pending_ops: Mutex<VecDeque<PendingOp>>,
+}
+
+impl ConnShared {
+    /// Ring the reactor's doorbell for this connection.
+    fn ring(&self) {
+        ring(&self.waker, &self.stats);
+    }
+
+    /// Ring if `owed`, clearing it: the reply-side debt a worker carries
+    /// while its claim appends replies it has not rung for.
+    fn pay(&self, owed: &mut bool) {
+        if std::mem::take(owed) {
+            self.ring();
+        }
+    }
+}
+
+/// Every doorbell ring goes through here, so `rpc_doorbell_rings` counts
+/// each pipe byte the server writes.
+fn ring(waker: &Waker, stats: &StatsInner) {
+    stats.doorbell_rings.fetch_add(1, Ordering::Relaxed);
+    waker.wake();
 }
 
 /// Cap on outstanding [`PendingOp`]s per connection: a subscriber whose
@@ -158,17 +194,18 @@ struct PendingOp {
 /// and return the outbox length that acquisition observed.
 fn append_message(out: &Mutex<Vec<u8>>, message: &[u8]) -> usize {
     let mut out = out.lock();
-    for frag in fragment(message) {
-        out.extend_from_slice(&frag);
-    }
+    fragment_into(&mut out, message);
     out.len()
 }
 
 /// A reactor connection's [`NotificationSink`], built before the
 /// automaton is registered and owned by it until the unregistration
 /// drain: the automaton-pool worker that ran `send()` encodes the
-/// notification, appends it to the outbox and rings the doorbell. It
-/// never touches the socket, so it never blocks on the client.
+/// notification and appends it to the outbox, and rings the doorbell
+/// once per drained run of its mailbox, in `flush` — a burst of
+/// notifications for one connection, from however many automata on one
+/// pool worker, costs one ring. It never touches the socket, so it
+/// never blocks on the client.
 struct ReactorRoute {
     shared: Arc<ConnShared>,
 }
@@ -191,14 +228,25 @@ impl NotificationSink for ReactorRoute {
         let accepted = shared.max_outbox_bytes == 0 || outbox_len <= shared.max_outbox_bytes;
         if accepted {
             shared.stats.notifications.fetch_add(1, Ordering::Release);
-        } else if mark_defunct(shared, &shared.stats) {
-            shared
-                .obs
-                .slow_consumer_evictions
-                .fetch_add(1, Ordering::Relaxed);
+            shared.ring_owed.store(true, Ordering::Release);
+        } else {
+            if mark_defunct(shared, &shared.stats) {
+                shared
+                    .obs
+                    .slow_consumer_evictions
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            shared.ring();
         }
-        shared.waker.wake();
         accepted
+    }
+
+    fn flush(&self) {
+        // Whichever flush clears the flag rings after every append that
+        // set it.
+        if self.shared.ring_owed.swap(false, Ordering::AcqRel) {
+            self.shared.ring();
+        }
     }
 }
 
@@ -461,7 +509,7 @@ impl ReactorServer {
 
     fn stop(&mut self) {
         self.shutting_down.store(true, Ordering::Release);
-        self.waker.wake();
+        ring(&self.waker, &self.stats);
         if let Some(handle) = self.reactor.take() {
             let _ = handle.join();
         }
@@ -518,21 +566,31 @@ struct Held {
 
 /// A settle point: commit `run` — one durability wait for everything it
 /// staged — then hand `held` to the client in inbox order under one
-/// outbox lock acquisition and one doorbell ring, closing each
-/// request's execute stage (claim to reply appended, commit wait
-/// included) and returning its `in_flight` slot. No held reply reaches
-/// the outbox before its record is durable; if the commit fails, the
-/// replies that were waiting on it become the log's error and the rest
-/// keep their own. With `deliver` false (the connection is defunct) the
-/// run still commits, so its staged rows become visible, and the
-/// replies are discarded.
+/// outbox lock acquisition, closing each request's execute stage (claim
+/// to reply appended, commit wait included) and returning its
+/// `in_flight` slot. No held reply reaches the outbox before its record
+/// is durable; if the commit fails, the replies that were waiting on it
+/// become the log's error and the rest keep their own. With `deliver`
+/// false (the connection is defunct) the run still commits, so its
+/// staged rows become visible, and the replies are discarded.
+///
+/// A run that waits on the log pays the `owed` ring before the wait and
+/// rings once after its append. A run that waited on nothing appends
+/// without ringing and leaves the ring `owed`, for [`run_conn`] to pay
+/// at its next barrier or exit.
 fn settle(
     ctx: &RequestCtx<'_>,
     conn: &ConnShared,
     run: &mut WriteRun<'_>,
     held: &mut Vec<Held>,
     deliver: bool,
+    owed: &mut bool,
 ) {
+    let waits = run.awaiting() > 0;
+    if waits {
+        // No reply already in the outbox waits out this commit.
+        conn.pay(owed);
+    }
     let failure = commit_run(run);
     if held.is_empty() {
         return;
@@ -549,9 +607,10 @@ fn settle(
                 Some(failure) if h.awaits_commit => failure.clone(),
                 _ => h.reply,
             };
-            for frag in fragment(&ServerMessage::Reply { seq: h.seq, reply }.encode()) {
-                wire.extend_from_slice(&frag);
-            }
+            fragment_into(
+                &mut wire,
+                &ServerMessage::Reply { seq: h.seq, reply }.encode(),
+            );
         }
         conn.out.lock().extend_from_slice(&wire);
         let appended = Instant::now();
@@ -572,7 +631,11 @@ fn settle(
     }
     held.clear();
     ctx.stats.in_flight.fetch_sub(settled, Ordering::Release);
-    conn.waker.wake();
+    if waits {
+        conn.ring();
+    } else {
+        *owed = true;
+    }
 }
 
 /// The defunct half of [`run_conn`]: discard the inbox and, once per
@@ -597,7 +660,7 @@ fn tear_down(ctx: &RequestCtx<'_>, conn: &ConnShared) {
     }
     ctx.stats.active.fetch_sub(1, Ordering::Release);
     conn.exec.lock().executing = false;
-    conn.waker.wake();
+    conn.ring();
 }
 
 /// Drain one connection's inbox (up to [`WORKER_BUDGET`] requests) and
@@ -616,16 +679,24 @@ fn tear_down(ctx: &RequestCtx<'_>, conn: &ConnShared) {
 /// client with one request in flight always meets (a) after that
 /// request: stage, wait, reply — a run of one; a pipelining writer gets
 /// up to `RUN_LIMIT` records per flush.
+///
+/// Replies that waited on nothing share one doorbell ring (see
+/// [`settle`]): the worker owes it from the first such append and pays
+/// it before executing anything but a typed insert, before a commit
+/// wait, and before it leaves the connection — so such a reply waits at
+/// most for the typed inserts after it in the same claim.
 fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) {
     let mut run = ctx.cache.write_run();
     let mut held: Vec<Held> = Vec::new();
     let mut budget = WORKER_BUDGET;
+    let mut owed = false;
     loop {
         let (msg, received) = {
             let mut exec = conn.exec.lock();
             if exec.defunct {
                 drop(exec);
-                settle(ctx, conn, &mut run, &mut held, false);
+                settle(ctx, conn, &mut run, &mut held, false, &mut owed);
+                conn.pay(&mut owed);
                 tear_down(ctx, conn);
                 return;
             }
@@ -639,7 +710,7 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
                 });
             if !held.is_empty() && !joins_run {
                 drop(exec);
-                settle(ctx, conn, &mut run, &mut held, true);
+                settle(ctx, conn, &mut run, &mut held, true, &mut owed);
                 continue;
             }
             if budget == 0 {
@@ -647,6 +718,7 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
                 // of the queue (keeping `executing` set, so the reactor
                 // won't double-enqueue).
                 drop(exec);
+                conn.pay(&mut owed);
                 let _ = job_tx.send(Job::Conn(Arc::clone(conn)));
                 return;
             }
@@ -658,8 +730,9 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
                     // The finalisation sweep skips connections while
                     // `executing` is set; if an EOF (or drain) arrived
                     // during this run, nothing else will wake the
-                    // reactor to notice the flag cleared. Ring it.
-                    conn.waker.wake();
+                    // reactor to notice the flag cleared. Ring it —
+                    // which also pays any `owed` ring.
+                    conn.ring();
                     return;
                 }
             }
@@ -679,6 +752,11 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
             }
             _ => None,
         };
+        if table.is_none() {
+            // Not a typed insert: it may take long (a select, an
+            // unregistration's drain), so nothing waits behind it.
+            conn.pay(&mut owed);
+        }
         let span = (
             received.elapsed().as_nanos() as u64,
             req_kind(&msg.request),
@@ -698,7 +776,7 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
             span,
         });
         if run.awaiting() == 0 {
-            settle(ctx, conn, &mut run, &mut held, true);
+            settle(ctx, conn, &mut run, &mut held, true, &mut owed);
         }
     }
 }
@@ -748,6 +826,7 @@ fn accept_all(
                         out: Mutex::new(Vec::new()),
                         registered: Mutex::new(HashSet::new()),
                         waker: Arc::clone(waker),
+                        ring_owed: AtomicBool::new(false),
                         stats: Arc::clone(stats),
                         max_outbox_bytes: policy.max_outbox_bytes,
                         obs: Arc::clone(obs),
@@ -1446,9 +1525,7 @@ mod tests {
         let msg_big: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
         let mut wire = Vec::new();
         for m in [&msg_small, &msg_big] {
-            for frag in fragment(m) {
-                wire.extend_from_slice(&frag);
-            }
+            fragment_into(&mut wire, m);
         }
         // Feed one byte at a time: worst-case chunking.
         let mut parser = FrameParser::default();
@@ -1460,6 +1537,48 @@ mod tests {
             }
         }
         assert_eq!(out, vec![msg_small, msg_big]);
+    }
+
+    /// `fragment_into` writes exactly the hand-built fragments, and its
+    /// output reassembles through both readers: the blocking
+    /// `read_message` and the reactor's `FrameParser`.
+    #[test]
+    fn fragment_into_writes_hand_built_fragments_that_round_trip() {
+        use crate::framing::read_message;
+        for len in [
+            0,
+            1,
+            FRAGMENT_PAYLOAD,
+            FRAGMENT_PAYLOAD + 1,
+            3 * FRAGMENT_PAYLOAD,
+        ] {
+            let msg: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut expected = Vec::new();
+            let chunks: Vec<&[u8]> = if len == 0 {
+                vec![&[]]
+            } else {
+                msg.chunks(FRAGMENT_PAYLOAD).collect()
+            };
+            for (i, chunk) in chunks.iter().enumerate() {
+                expected.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
+                expected.push(u8::from(i + 1 == chunks.len()));
+                expected.push(0);
+                expected.extend_from_slice(chunk);
+            }
+            // Appends: bytes already in the buffer stay in front.
+            let mut wire = vec![0xEE];
+            fragment_into(&mut wire, &msg);
+            assert_eq!(wire[0], 0xEE, "length {len}");
+            assert_eq!(wire[1..], expected[..], "length {len}");
+
+            let mut cursor = std::io::Cursor::new(&wire[1..]);
+            assert_eq!(read_message(&mut cursor).unwrap(), Some(msg.clone()));
+            assert_eq!(read_message(&mut cursor).unwrap(), None, "length {len}");
+            let mut parser = FrameParser::default();
+            parser.push(&wire[1..]);
+            assert_eq!(parser.next_message().unwrap(), Some(msg), "length {len}");
+            assert_eq!(parser.next_message().unwrap(), None, "length {len}");
+        }
     }
 
     #[test]

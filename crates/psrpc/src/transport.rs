@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::{Error, Result};
-use crate::framing::{self, fragment};
+use crate::framing::{self, fragment_into, FRAGMENT_SIZE};
 
 /// The sending half of a duplex message transport.
 pub trait SendHalf: Send {
@@ -132,8 +132,13 @@ pub fn inproc_pair() -> (InprocEndpoint, InprocEndpoint) {
 
 impl SendHalf for InprocSendHalf {
     fn send(&mut self, message: &[u8]) -> Result<()> {
-        for frag in fragment(message) {
-            self.tx.send(frag).map_err(|_| Error::Disconnected)?;
+        let mut wire = Vec::new();
+        fragment_into(&mut wire, message);
+        // Every fragment but the last is exactly `FRAGMENT_SIZE` bytes.
+        for frag in wire.chunks(FRAGMENT_SIZE) {
+            self.tx
+                .send(frag.to_vec())
+                .map_err(|_| Error::Disconnected)?;
         }
         Ok(())
     }
@@ -193,7 +198,9 @@ mod tests {
     #[test]
     fn inproc_sender_vanishing_mid_message_is_a_protocol_error() {
         let ((client_tx, _client_rx), (_server_tx, mut server_rx)) = inproc_pair();
-        let first = fragment(&[9u8; 3000]).swap_remove(0);
+        let mut wire = Vec::new();
+        fragment_into(&mut wire, &[9u8; 3000]);
+        let first = wire[..FRAGMENT_SIZE].to_vec();
         assert_eq!(first[2], 0, "the first of several fragments is not last");
         client_tx.tx.send(first).unwrap();
         drop(client_tx);

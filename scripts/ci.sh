@@ -23,6 +23,10 @@
 #           scatter-gather intact, subscriptions resume exactly-once —
 #           plus the differential property suite proving a partitioned
 #           cluster is indistinguishable from one cache
+#   repeat  the suites whose flows ring the reactor's doorbell from
+#           many threads at once, REPEATS (10) passes each in release,
+#           with pass counts: a lost wake is a race that one tier-1
+#           pass can miss
 #   psbench the end-to-end benchmark's smoke run (benchmark/smoke.sh):
 #           all four psbench workloads, briefly, with their correctness
 #           oracles — SIGKILL-and-recover, follower-equals-primary
@@ -123,6 +127,42 @@ ${FLOORS}
 EOF
 }
 
+# Each entry is the argument list of one `cargo test` invocation.
+REPEATS=10
+REPEAT_SUITES='
+--test rpc_chaos
+--test notification_delivery
+--test protection_chaos
+-p psrpc --lib poll::tests
+'
+
+stage_repeat() {
+    cargo test --release -q --no-run --test rpc_chaos --test notification_delivery \
+        --test protection_chaos
+    cargo test --release -q --no-run -p psrpc --lib
+    failed=0
+    while read -r suite; do
+        [ -n "${suite}" ] || continue
+        passes=0
+        i=0
+        while [ "${i}" -lt "${REPEATS}" ]; do
+            # Word splitting of ${suite} into cargo arguments is intended.
+            # shellcheck disable=SC2086
+            if out=$(cargo test --release -q ${suite} 2>&1); then
+                passes=$((passes + 1))
+            else
+                echo "${out}" | tail -n 30
+            fi
+            i=$((i + 1))
+        done
+        echo "${suite}: ${passes}/${REPEATS} passed"
+        [ "${passes}" -eq "${REPEATS}" ] || failed=1
+    done <<EOF
+${REPEAT_SUITES}
+EOF
+    [ "${failed}" -eq 0 ]
+}
+
 stage_psbench() {
     sh benchmark/smoke.sh
 }
@@ -142,7 +182,7 @@ stage_cluster() {
 # Driver.
 # ---------------------------------------------------------------------
 if [ $# -eq 0 ]; then
-    set -- fmt clippy build test docs cluster psbench bench
+    set -- fmt clippy build test docs cluster repeat psbench bench
 fi
 
 for stage in "$@"; do
@@ -153,10 +193,11 @@ for stage in "$@"; do
         test)    run_stage test    stage_test ;;
         docs)    run_stage docs    stage_docs ;;
         cluster) run_stage cluster stage_cluster ;;
+        repeat)  run_stage repeat  stage_repeat ;;
         psbench) run_stage psbench stage_psbench ;;
         bench)   run_stage bench   stage_bench ;;
         *)
-            echo "unknown stage '${stage}' (known: fmt clippy build test docs cluster psbench bench)" >&2
+            echo "unknown stage '${stage}' (known: fmt clippy build test docs cluster repeat psbench bench)" >&2
             exit 2
             ;;
     esac

@@ -11,7 +11,10 @@
 //!
 //! Both hold on the event-driven `ReactorServer` and on the blocking
 //! request-loop oracle; every test here reads raw framed bytes so it sees
-//! exactly what the socket carried, in the order it carried it.
+//! exactly what the socket carried, in the order it carried it. The
+//! reactor alone has a doorbell, and one test counts its rings: a burst
+//! of notifications costs one per drained pool-worker run, not one per
+//! notification.
 
 mod support;
 
@@ -205,4 +208,120 @@ fn concurrent_multi_fragment_notifications_never_interleave_on_the_wire() {
         assert!(next_seq.values().all(|&seq| seq == TICKS), "{kind}");
         ticker.join().unwrap();
     });
+}
+
+/// The doorbell rings once per drained run, not once per append. One
+/// pool worker; a gate automaton holds it for ≈ 300 ms on a trigger row
+/// while one 100-row batch queues 1,000 events for ten echo automata
+/// behind it. The batch's reply reaches the wire while the gate still
+/// runs; then all 1,000 notifications arrive in per-automaton order, and
+/// the whole exchange — two replies, the gate's notification and the
+/// 1,000 echoes — costs at most four rings (one per reply claim, one per
+/// drained run), where ringing per append would cost over a thousand.
+#[test]
+fn a_drained_run_of_notifications_rings_the_doorbell_once() {
+    const ECHOES: usize = 10;
+    const ROWS: i64 = 100;
+    let cache = CacheBuilder::new().automaton_workers(1).build();
+    cache.execute("create table Gate (ms integer)").unwrap();
+    cache.execute("create table T (v integer)").unwrap();
+    let server = ReactorServer::bind(cache, "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let gate = register(
+        &mut stream,
+        1,
+        "subscribe g to Gate; tstamp start; behavior { start = tstampNow(); \
+         while (tstampDiff(tstampNow(), start) < g.ms * 1000000) { } send(g.ms); }",
+    );
+    let echoes: Vec<u64> = (0..ECHOES as u64)
+        .map(|i| {
+            register(
+                &mut stream,
+                2 + i,
+                "subscribe t to T; behavior { send(t.v); }",
+            )
+        })
+        .collect();
+    let rings = |stream: &mut TcpStream, seq: u64| {
+        send(stream, seq, Request::Metrics);
+        match next_frame(stream) {
+            ServerMessage::Reply {
+                reply: CacheReply::Metrics { snapshot },
+                ..
+            } => snapshot.counter("rpc_doorbell_rings").unwrap(),
+            other => panic!("unexpected metrics reply: {other:?}"),
+        }
+    };
+    let before = rings(&mut stream, 100);
+
+    const TRIGGER: u64 = 101;
+    const BATCH: u64 = 102;
+    send(
+        &mut stream,
+        TRIGGER,
+        Request::Insert {
+            table: "Gate".into(),
+            values: vec![Scalar::Int(300)],
+            upsert: false,
+        },
+    );
+    send(
+        &mut stream,
+        BATCH,
+        Request::InsertBatch {
+            table: "T".into(),
+            rows: (0..ROWS).map(|v| vec![Scalar::Int(v)]).collect(),
+            upsert: false,
+        },
+    );
+    let mut next_v: BTreeMap<u64, i64> = echoes.iter().map(|&id| (id, 0)).collect();
+    let (mut batch_replied, mut gate_done) = (false, false);
+    let mut notes = 0;
+    while notes < ECHOES * ROWS as usize || !gate_done || !batch_replied {
+        match next_frame(&mut stream) {
+            ServerMessage::Reply {
+                seq: TRIGGER,
+                reply,
+            } => {
+                assert!(matches!(reply, CacheReply::Inserted { .. }), "{reply:?}");
+            }
+            ServerMessage::Reply { seq: BATCH, reply } => {
+                assert!(
+                    matches!(reply, CacheReply::InsertedBatch { .. }),
+                    "{reply:?}"
+                );
+                assert!(
+                    !gate_done,
+                    "the gate finished before the batch was answered"
+                );
+                batch_replied = true;
+            }
+            ServerMessage::Notification { automaton, .. } if automaton == gate => {
+                gate_done = true;
+            }
+            ServerMessage::Notification {
+                automaton, values, ..
+            } => {
+                let expected = next_v
+                    .get_mut(&automaton)
+                    .expect("a notification from an unknown automaton");
+                assert_eq!(
+                    values,
+                    vec![Scalar::Int(*expected)],
+                    "automaton {automaton}"
+                );
+                *expected += 1;
+                notes += 1;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert!(next_v.values().all(|&v| v == ROWS));
+    let delta = rings(&mut stream, 103) - before;
+    assert!(
+        (1..=4).contains(&delta),
+        "{delta} doorbell rings for two replies and 1,001 notifications"
+    );
+    drop(stream);
+    server.shutdown();
 }

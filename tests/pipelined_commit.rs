@@ -95,9 +95,7 @@ fn frame(first_seq: u64, script: &[(Option<(u64, u64)>, Request)]) -> Vec<u8> {
             trace: None,
             request: request.clone(),
         };
-        for frag in framing::fragment(&msg.encode()) {
-            wire.extend_from_slice(&frag);
-        }
+        framing::fragment_into(&mut wire, &msg.encode());
     }
     wire
 }

@@ -32,11 +32,16 @@ proptest! {
     fn framing_round_trips_any_payload(payload in proptest::collection::vec(any::<u8>(), 0..8192)) {
         let mut wire = Vec::new();
         framing::write_message(&mut wire, &payload).unwrap();
-        let frags = framing::fragment(&payload);
-        prop_assert_eq!(frags.len(), framing::fragments_for_len(payload.len()));
-        for frag in &frags {
-            prop_assert!(frag.len() <= framing::FRAGMENT_SIZE);
+        let mut frags = 0;
+        let mut rest = &wire[..];
+        while !rest.is_empty() {
+            let len = u16::from_le_bytes([rest[0], rest[1]]) as usize;
+            let frag = framing::FRAGMENT_HEADER + len;
+            prop_assert!(frag <= framing::FRAGMENT_SIZE);
+            rest = &rest[frag..];
+            frags += 1;
         }
+        prop_assert_eq!(frags, framing::fragments_for_len(payload.len()));
         let mut cursor = std::io::Cursor::new(wire);
         let decoded = framing::read_message(&mut cursor).unwrap().unwrap();
         prop_assert_eq!(decoded, payload);
