@@ -20,6 +20,7 @@ mod support;
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use gapl::event::Scalar;
 use psrpc::client::CacheClient;
@@ -227,6 +228,11 @@ fn a_drained_run_of_notifications_rings_the_doorbell_once() {
     cache.execute("create table T (v integer)").unwrap();
     let server = ReactorServer::bind(cache, "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    // A lost ring strands bytes in the outbox: fail on it, never wait
+    // forever for it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let gate = register(
         &mut stream,
         1,
