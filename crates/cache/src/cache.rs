@@ -25,7 +25,8 @@ use crate::repl::hub::ReplHub;
 use crate::repl::server::ReplListener;
 use crate::repl::{ReplRole, ReplStats};
 use crate::runtime::{
-    AutomatonId, AutomatonStats, Executor, Notification, NotificationSink, RegisterCmd, WorkerMsg,
+    AutomatonId, AutomatonStats, Completion, Executor, Notification, NotificationSink, RegisterCmd,
+    WorkerMsg,
 };
 use crate::sql::{self, Command};
 use crate::table::{Table, TableKind, TableStore, DEFAULT_STREAM_CAPACITY};
@@ -1374,24 +1375,38 @@ impl Cache {
         Ok(id)
     }
 
-    /// Unregister an automaton: unsubscribe it from every topic index,
-    /// drain its mailbox (events already enqueued are processed, events
-    /// racing past the unsubscription are discarded), and wait for the
-    /// owning pool worker to acknowledge the drain.
+    /// Unregister an automaton ([`Cache::detach_automaton`]) and wait
+    /// for its drain, with no timeout: the wait is bounded only by the
+    /// automaton's current run, which nothing bounds until GAPL runs get
+    /// an instruction budget (ROADMAP item 8(a)).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoSuchAutomaton`] for unknown ids, and
-    /// [`Error::Internal`] if the owning worker fails to acknowledge the
-    /// drain within 30 seconds. The timeout distinguishes a wedged worker
-    /// (an automaton spinning in an infinite GAPL loop, or an extreme
-    /// backlog from co-pinned automata) from a deadlock — but in **both**
-    /// return cases the automaton is already unregistered: it is out of
-    /// every topic index and route table, no new event can reach it, and
-    /// retrying reports [`Error::NoSuchAutomaton`]. The error only means
-    /// the drain of already-mailed events could not be *confirmed* in
-    /// time.
+    /// Returns [`Error::NoSuchAutomaton`] for unknown ids.
     pub fn unregister_automaton(&self, id: AutomatonId) -> Result<()> {
+        let (done, drained) = std::sync::mpsc::sync_channel(1);
+        self.detach_automaton(id, move || {
+            let _ = done.send(());
+        })?;
+        let _ = drained.recv();
+        Ok(())
+    }
+
+    /// Unregister an automaton without waiting: it leaves every topic
+    /// index before this returns; its pool worker then drains its mailbox
+    /// (events racing past are discarded), drops it with its sink and
+    /// runs `then`, which must never block — exactly once, inline if the
+    /// pool has shut down.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchAutomaton`] for unknown ids, without
+    /// running `then`.
+    pub fn detach_automaton(
+        &self,
+        id: AutomatonId,
+        then: impl FnOnce() + Send + 'static,
+    ) -> Result<()> {
         let entry = self
             .inner
             .automata
@@ -1399,8 +1414,8 @@ impl Cache {
             .remove(&id)
             .ok_or(Error::NoSuchAutomaton { id: id.0 })?;
         // Counted here — the single choke point — so explicit
-        // unregistrations and reactor connection teardowns both land in
-        // the same observable (surfaced in `HealthReport`).
+        // unregistrations and connection teardowns both land in the same
+        // observable.
         self.inner
             .obs
             .automaton_unregistrations
@@ -1413,31 +1428,13 @@ impl Cache {
         // 2. Out of the route table: publishers that already selected it
         //    from an in-flight index snapshot find no mailbox.
         let route = self.inner.routes.write().remove(&id);
-        // 3. Acknowledged drain: the Unregister message queues behind
-        //    every event already mailed to the automaton, so the ack
-        //    proves the mailbox was drained — by processing, never by
-        //    dropping a pending event.
+        // 3. The drain: the Unregister message queues behind every event
+        //    already mailed to the automaton, so its completion proves the
+        //    mailbox was drained — by processing, never by dropping a
+        //    pending event. A refused message runs it here, on drop.
+        let then = Completion(Some(Box::new(then)));
         if let Some(route) = route {
-            let (ack_tx, ack_rx) = unbounded();
-            if route
-                .tx
-                .send(WorkerMsg::Unregister { id, ack: ack_tx })
-                .is_ok()
-            {
-                use crossbeam::channel::RecvTimeoutError;
-                match ack_rx.recv_timeout(Duration::from_secs(30)) {
-                    Ok(()) => {}
-                    // The pool is already shut down; nothing left to drain.
-                    Err(RecvTimeoutError::Disconnected) => {}
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(Error::Internal {
-                            message: format!(
-                                "worker owning {id} did not acknowledge the drain within 30s"
-                            ),
-                        })
-                    }
-                }
-            }
+            let _ = route.tx.send(WorkerMsg::Unregister { id, then });
         }
         Ok(())
     }
@@ -2934,6 +2931,42 @@ mod tests {
             c.unregister_automaton(id),
             Err(Error::NoSuchAutomaton { .. })
         ));
+    }
+
+    /// A detach returns before the drain; its completion runs after the
+    /// automaton's last notification and after its sink is gone, and a
+    /// failed detach never runs it.
+    #[test]
+    fn a_detach_completes_after_the_last_notification() {
+        let c = cache();
+        c.execute("create table T (v integer)").unwrap();
+        let (id, rx) = c
+            .register_automaton("subscribe t to T; behavior { send(t.v); }")
+            .unwrap();
+        c.insert_batch("T", (0..100).map(|v| vec![Scalar::Int(v)]).collect())
+            .unwrap();
+        let (done, completed) = unbounded();
+        c.detach_automaton(id, move || {
+            // Every notification is in, and the sink is dropped.
+            let seen: Vec<Scalar> = rx.try_iter().map(|n| n.values[0].clone()).collect();
+            let closed = matches!(
+                rx.try_recv(),
+                Err(crossbeam::channel::TryRecvError::Disconnected)
+            );
+            let _ = done.send((seen, closed));
+        })
+        .unwrap();
+        assert!(c.automata().is_empty());
+        let (seen, closed) = completed.recv().unwrap();
+        assert_eq!(seen, (0..100).map(Scalar::Int).collect::<Vec<_>>());
+        assert!(closed, "the sink outlived the drain");
+
+        let (done, never) = unbounded::<()>();
+        let err = c.detach_automaton(id, move || {
+            let _ = done.send(());
+        });
+        assert!(matches!(err, Err(Error::NoSuchAutomaton { .. })));
+        assert!(never.recv().is_err(), "a failed detach ran its completion");
     }
 
     #[test]

@@ -86,11 +86,6 @@ pub enum Error {
         /// The partition that owns the rejected row's key.
         partition: u64,
     },
-    /// Internal invariant violation (poisoned thread, disconnected channel).
-    Internal {
-        /// Explanation of the failure.
-        message: String,
-    },
 }
 
 impl Error {
@@ -104,13 +99,6 @@ impl Error {
     /// Construct a [`Error::Schema`].
     pub fn schema(message: impl Into<String>) -> Self {
         Error::Schema {
-            message: message.into(),
-        }
-    }
-
-    /// Construct a [`Error::Internal`].
-    pub fn internal(message: impl Into<String>) -> Self {
-        Error::Internal {
             message: message.into(),
         }
     }
@@ -170,7 +158,6 @@ impl fmt::Display for Error {
             Error::AutomatonRuntime { message } => {
                 write!(f, "automaton runtime error: {message}")
             }
-            Error::Internal { message } => write!(f, "internal cache error: {message}"),
         }
     }
 }

@@ -18,9 +18,9 @@
 //!   in order, which preserves the per-automaton delivery guarantee of
 //!   the thread-per-automaton design (tuples of one table arrive in
 //!   strict time-of-insertion order, batches arrive contiguously);
-//! * unregistration is an **acknowledged drain**: the `Unregister`
+//! * unregistration is a **drain with a completion**: the `Unregister`
 //!   message queues *behind* every event already mailed to the
-//!   automaton, so by the time the ack comes back the mailbox has been
+//!   automaton, so by the time its completion runs the mailbox has been
 //!   drained by processing; late events that raced past unregistration
 //!   are discarded deterministically (their automaton no longer exists
 //!   on the worker).
@@ -83,10 +83,9 @@ pub struct Notification {
 
 /// Where an automaton's notifications go: handed over at registration
 /// and owned by the automaton from its first instruction to the moment
-/// the owning pool worker drops it in [`Cache::unregister_automaton`]'s
-/// acknowledged drain — so every notification an automaton ever produced
-/// has been delivered by the time its unregistration returns, and none
-/// can follow.
+/// the owning pool worker drops it in [`Cache::detach_automaton`]'s
+/// drain — so every notification an automaton ever produced has been
+/// delivered by the time the drain completes, and none can follow.
 ///
 /// `deliver` runs on the pool worker that executed `send()`, which
 /// fixes what an implementation may do:
@@ -104,12 +103,12 @@ pub struct Notification {
 /// * a sink may defer the wake-up that tells its consumer new bytes are
 ///   there until [`flush`](NotificationSink::flush), which the owning
 ///   worker calls once per drained run of its mailbox on every automaton
-///   that ran in it, after the `initialization` clause, before it
-///   acknowledges the automaton's unregistration and before it exits —
-///   so a deferred wake is always paid before the worker blocks again
-///   and before the `Unregistered` reply can be sent.
+///   that ran in it, after the `initialization` clause, before it runs
+///   an unregistration's completion and before it exits — so a deferred
+///   wake is always paid before the worker blocks again and before the
+///   `Unregistered` reply can be sent.
 ///
-/// [`Cache::unregister_automaton`]: crate::Cache::unregister_automaton
+/// [`Cache::detach_automaton`]: crate::Cache::detach_automaton
 pub trait NotificationSink {
     /// Deliver one notification; `false` means the destination is gone
     /// (the automaton keeps running — see `HostInterface::send`).
@@ -153,16 +152,28 @@ pub(crate) enum WorkerMsg {
         /// it at pickup to record dispatch queue latency.
         enqueued: Instant,
     },
-    /// Drop the automaton's VM; acknowledge once every earlier event in
-    /// the mailbox has been processed.
+    /// Drop the automaton's VM once every earlier event in the mailbox
+    /// has been processed, then complete.
     Unregister {
         /// Target automaton.
         id: AutomatonId,
-        /// Acknowledged after the drain.
-        ack: Sender<()>,
+        /// Runs after the drain.
+        then: Completion,
     },
     /// Drain the mailbox and exit the worker thread.
     Shutdown,
+}
+
+/// An unregistration's completion. It runs when dropped, so exactly once
+/// even if the pool exits with it queued; it never blocks.
+pub(crate) struct Completion(pub Option<Box<dyn FnOnce() + Send>>);
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if let Some(then) = self.0.take() {
+            then();
+        }
+    }
 }
 
 /// Counters and buffers shared between the executor and the cache.
@@ -346,7 +357,7 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
                     // An absent runner means the automaton was
                     // unregistered while this event was in flight;
                     // discarding is the deterministic choice (the drain
-                    // ack has already been sent, so nobody is waiting on
+                    // has already completed, so nobody is waiting on
                     // this event).
                     let Some(runner) = runners.get_mut(&id.0) else {
                         continue;
@@ -360,12 +371,12 @@ fn worker_loop(rx: Receiver<WorkerMsg>, obs: Arc<crate::obs::Obs>) {
                         ran.push(id.0);
                     }
                 }
-                WorkerMsg::Unregister { id, ack } => {
-                    // Every notification is handed over before the ack.
+                WorkerMsg::Unregister { id, then } => {
+                    // Every notification is handed over before completing.
                     if let Some(runner) = runners.remove(&id.0) {
                         runner.host.notifier.flush();
                     }
-                    let _ = ack.send(());
+                    drop(then);
                 }
                 WorkerMsg::Shutdown => {
                     flush_ran(&mut runners, &mut ran);
@@ -525,5 +536,34 @@ mod tests {
         }
         pool.shutdown();
         pool.shutdown(); // idempotent
+    }
+
+    /// A completion runs exactly once on each of its three paths: the
+    /// worker processes the message, the exiting worker drops it still
+    /// queued, or the closed mailbox refuses it.
+    #[test]
+    fn an_unregister_completion_runs_once_whether_or_not_a_worker_sees_it() {
+        let obs = Arc::new(crate::obs::Obs::new(std::time::Duration::from_secs(1)));
+        let pool = Executor::start(1, obs);
+        let runs = Arc::new(AtomicU64::new(0));
+        let unregister = |id| {
+            let runs = Arc::clone(&runs);
+            WorkerMsg::Unregister {
+                id: AutomatonId(id),
+                then: Completion(Some(Box::new(move || {
+                    runs.fetch_add(1, Ordering::AcqRel);
+                }))),
+            }
+        };
+        let tx = pool.sender_for(AutomatonId(0)).clone();
+        // Processed: the worker drains it like any other message.
+        tx.send(unregister(0)).ok().unwrap();
+        // Queued behind the worker's exit, then refused after it.
+        tx.send(WorkerMsg::Shutdown).ok().unwrap();
+        let _ = tx.send(unregister(1));
+        pool.shutdown();
+        assert_eq!(runs.load(Ordering::Acquire), 2);
+        assert!(tx.send(unregister(2)).is_err());
+        assert_eq!(runs.load(Ordering::Acquire), 3);
     }
 }

@@ -89,21 +89,12 @@ pub(crate) struct RequestCtx<'a> {
     pub(crate) stats: &'a StatsInner,
 }
 
-/// Unregister everything a departed connection had registered (each
-/// automaton's sink is dropped by the drain); shared by both transports'
-/// teardown paths.
-pub(crate) fn teardown_registered(ctx: &RequestCtx<'_>, registered: &mut HashSet<AutomatonId>) {
-    for id in registered.drain() {
-        let _ = ctx.cache.unregister_automaton(id);
-    }
-}
-
 /// Convert a cache rejection into its wire reply. One error is typed
 /// rather than textual: a cluster ownership miss becomes the
 /// [`CacheReply::NotMine`] redirect (carrying the owning partition's
 /// index), so a misrouted client can re-send instead of parsing error
 /// prose. Everything else is the cache's error text.
-fn error_to_reply(e: pscache::Error) -> CacheReply {
+pub(crate) fn error_to_reply(e: pscache::Error) -> CacheReply {
     match e {
         pscache::Error::WrongPartition { partition } => CacheReply::NotMine { partition },
         other => CacheReply::Error {
@@ -241,17 +232,14 @@ pub(crate) fn stage_request<S: NotificationSink + Send + 'static>(
         }
         Request::UnregisterAutomaton { id } => {
             let id = AutomatonId(id);
+            // Only the blocking loop waits here (the reactor parks): every
+            // notification is on the writer queue, ahead of this reply.
             match ctx.cache.unregister_automaton(id) {
-                // The drain is acknowledged: every notification the
-                // automaton produced is already in this connection's
-                // outbound queue, ahead of the reply built here.
                 Ok(()) => {
                     registered.remove(&id);
                     CacheReply::Unregistered
                 }
-                Err(e) => CacheReply::Error {
-                    message: e.to_string(),
-                },
+                Err(e) => error_to_reply(e),
             }
         }
     }

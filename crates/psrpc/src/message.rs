@@ -143,7 +143,8 @@ impl HealthReport {
     /// A reactor worker counts as busy for as long as it holds a
     /// connection — executing, and also blocked in the durability wait
     /// that commits a run of pipelined inserts: it is off-CPU then, but
-    /// it can serve nobody else. The number to alert and size on:
+    /// it can serve nobody else. An unregistration waiting for a drain
+    /// holds none. The number to alert and size on:
     /// sustained values near `1.0` mean every worker is occupied and
     /// newly decoded requests are queueing (`rpc_in_flight` grows) —
     /// add workers

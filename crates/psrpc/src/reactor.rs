@@ -18,6 +18,8 @@
 //!   which preserves the blocking loop's contract: requests on one
 //!   connection are executed and answered in receive order. Workers for
 //!   *different* connections run in parallel;
+//! * **no worker waits on an automaton**: an unregistration *parks* its
+//!   connection on the automaton's drain, which hands it back;
 //! * **backpressure** is per connection: when a client pipelines more
 //!   than [`pscache::config::DEFAULT_RPC_MAX_PIPELINE`] undecided
 //!   requests, the reactor parks that connection's read interest
@@ -47,7 +49,7 @@ use pscache::{AutomatonId, Cache, ClientPolicy, IdemToken, NotificationSink, Wri
 
 use crate::error::{Error, Result};
 use crate::exec::{
-    commit_run, notification_message, req_kind, stage_request, teardown_registered, RequestCtx,
+    commit_run, error_to_reply, notification_message, req_kind, stage_request, RequestCtx,
     StatsInner,
 };
 use crate::framing::{fragment_into, FRAGMENT_HEADER, FRAGMENT_PAYLOAD};
@@ -97,9 +99,8 @@ struct ExecState {
     read_closed: bool,
     /// The connection is dead: discard the inbox, tear down, free.
     defunct: bool,
-    /// Teardown (automaton unregistration) has run; the reactor may
-    /// drop the socket.
-    torn_down: bool,
+    /// An unregistration's drain, not a worker, holds the claim.
+    parked: bool,
     /// Read interest is currently parked for backpressure (tracked so a
     /// stall is counted once per episode, not once per poll iteration).
     paused: bool,
@@ -113,7 +114,7 @@ struct ConnShared {
     /// thread drains it into the socket.
     out: Mutex<Vec<u8>>,
     /// Automata this connection registered; touched only by the single
-    /// active worker, including at teardown.
+    /// active worker, or at teardown.
     registered: Mutex<HashSet<AutomatonId>>,
     /// The reactor's doorbell. A worker that appends to `out` rings it
     /// (through [`ConnShared::ring`]) before it next blocks or moves on:
@@ -174,8 +175,9 @@ fn ring(waker: &Waker, stats: &StatsInner) {
 /// unrecorded.
 const PENDING_OPS_CAP: usize = 1024;
 
-/// A measured request whose reply sits in the outbox awaiting flush —
-/// the first two stages of its latency breakdown, waiting for the third.
+/// A measured request, from its claim until its reply is flushed: the
+/// three stages of its latency breakdown, closed one by one.
+#[derive(Clone)]
 struct PendingOp {
     /// Client-stamped wire trace id (0 when unstamped).
     trace_id: u64,
@@ -183,8 +185,8 @@ struct PendingOp {
     /// Table the request addressed, for the slow-op log.
     table: Option<String>,
     queue_ns: u64,
-    exec_ns: u64,
-    /// When the reply landed in the outbox.
+    claimed: Instant,
+    /// When the reply landed in the outbox (the claim, until it does).
     appended: Instant,
 }
 
@@ -220,8 +222,8 @@ impl NotificationSink for ReactorRoute {
         // Slow-consumer eviction: a client that subscribes to a firehose
         // and stops draining its socket would otherwise buffer unbounded
         // notification bytes server-side. Past the policy cap the
-        // connection is defunct — its automata are unregistered by the
-        // teardown worker, exactly as if it had disconnected. Sinks of
+        // connection is defunct — the reactor tears it down and detaches
+        // its automata, exactly as if it had disconnected. Sinks of
         // one connection run concurrently on different pool workers, so
         // the cap is judged on the length the append itself observed and
         // the eviction belongs to whichever delivery flips `defunct`.
@@ -513,9 +515,6 @@ impl ReactorServer {
         if let Some(handle) = self.reactor.take() {
             let _ = handle.join();
         }
-        // Teardown jobs the reactor queued on its way out run before
-        // these sentinels, so every automaton is unregistered by the
-        // time the workers exit.
         for _ in 0..self.workers.len() {
             let _ = self.job_tx.send(Job::Stop);
         }
@@ -557,11 +556,7 @@ struct Held {
     /// The request's outcome waits on the run's commit: its reply
     /// stands only if the commit succeeds.
     awaits_commit: bool,
-    /// Client-stamped wire trace id (0 when unstamped).
-    trace_id: u64,
-    /// Queue time, kind, table and claim instant — the open execute
-    /// stage of the request's latency breakdown.
-    span: (u64, pscache::ReqKind, Option<String>, Instant),
+    op: PendingOp,
 }
 
 /// A settle point: commit `run` — one durability wait for everything it
@@ -600,9 +595,9 @@ fn settle(
         // Framed outside the lock; the whole run lands in the outbox
         // as one contiguous append.
         let mut wire = Vec::new();
-        let mut spans = Vec::new();
+        let mut ops = Vec::new();
         for h in held.drain(..) {
-            spans.push((h.trace_id, h.span));
+            ops.push(h.op);
             let reply = match &failure {
                 Some(failure) if h.awaits_commit => failure.clone(),
                 _ => h.reply,
@@ -615,18 +610,8 @@ fn settle(
         conn.out.lock().extend_from_slice(&wire);
         let appended = Instant::now();
         let mut pending = conn.pending_ops.lock();
-        for (trace_id, (queue_ns, kind, table, claimed)) in spans {
-            if pending.len() >= PENDING_OPS_CAP {
-                pending.pop_front();
-            }
-            pending.push_back(PendingOp {
-                trace_id,
-                kind,
-                table,
-                queue_ns,
-                exec_ns: appended.saturating_duration_since(claimed).as_nanos() as u64,
-                appended,
-            });
+        for op in ops {
+            pend(&mut pending, op, appended);
         }
     }
     held.clear();
@@ -638,34 +623,55 @@ fn settle(
     }
 }
 
-/// The defunct half of [`run_conn`]: discard the inbox and, once per
-/// connection, unregister its automata and let the reactor drop the
-/// socket. Clears the `executing` flag.
-fn tear_down(ctx: &RequestCtx<'_>, conn: &ConnShared) {
-    let mut exec = conn.exec.lock();
-    let dropped = exec.inbox.len() as u64;
-    exec.inbox.clear();
-    if dropped > 0 {
-        ctx.stats.in_flight.fetch_sub(dropped, Ordering::Release);
+/// Close a reply's execute stage at `appended`, opening its flush stage.
+fn pend(pending: &mut VecDeque<PendingOp>, op: PendingOp, appended: Instant) {
+    if pending.len() >= PENDING_OPS_CAP {
+        pending.pop_front();
     }
-    if exec.torn_down {
-        exec.executing = false;
-        return;
-    }
-    exec.torn_down = true;
-    drop(exec);
-    {
-        let mut registered = conn.registered.lock();
-        teardown_registered(ctx, &mut registered);
-    }
-    ctx.stats.active.fetch_sub(1, Ordering::Release);
-    conn.exec.lock().executing = false;
-    conn.ring();
+    pending.push_back(PendingOp { appended, ..op });
+}
+
+/// Detach the automaton and hand the connection's claim to its drain
+/// (`None`): nothing behind the request runs, and no worker waits. The
+/// completion appends `Unregistered` to this connection's outbox and
+/// hands the connection back to a worker, which releases it if it went
+/// defunct meanwhile. A failed detach parks nothing and answers at once.
+fn park_on_drain(
+    ctx: &RequestCtx<'_>,
+    job_tx: &Sender<Job>,
+    conn: &Arc<ConnShared>,
+    id: AutomatonId,
+    (seq, op): (u64, PendingOp),
+) -> Option<CacheReply> {
+    ctx.cache.obs().count_request(pscache::ReqKind::Unregister);
+    conn.registered.lock().remove(&id);
+    // Before the detach: the completion may run before it returns.
+    conn.exec.lock().parked = true;
+    let resume = {
+        let conn = Arc::clone(conn);
+        let job_tx = job_tx.clone();
+        move || {
+            conn.exec.lock().parked = false;
+            let reply = ServerMessage::Reply {
+                seq,
+                reply: CacheReply::Unregistered,
+            };
+            append_message(&conn.out, &reply.encode());
+            pend(&mut conn.pending_ops.lock(), op, Instant::now());
+            conn.stats.in_flight.fetch_sub(1, Ordering::Release);
+            conn.ring();
+            let _ = job_tx.send(Job::Conn(conn));
+        }
+    };
+    let e = ctx.cache.detach_automaton(id, resume).err()?;
+    conn.exec.lock().parked = false;
+    Some(error_to_reply(e))
 }
 
 /// Drain one connection's inbox (up to [`WORKER_BUDGET`] requests) and
 /// ring the reactor. Runs with the connection's `executing` flag held;
-/// clears it on every return path except the fairness re-queue.
+/// clears it on every return path except the fairness re-queue and
+/// [`park_on_drain`].
 ///
 /// The worker executes into one [`WriteRun`]: consecutive typed inserts
 /// are *staged* and their replies held, and the run is committed — one
@@ -696,8 +702,8 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
             if exec.defunct {
                 drop(exec);
                 settle(ctx, conn, &mut run, &mut held, false, &mut owed);
-                conn.pay(&mut owed);
-                tear_down(ctx, conn);
+                conn.exec.lock().executing = false;
+                conn.ring();
                 return;
             }
             let joins_run = budget > 0
@@ -753,27 +759,38 @@ fn run_conn(ctx: &RequestCtx<'_>, job_tx: &Sender<Job>, conn: &Arc<ConnShared>) 
             _ => None,
         };
         if table.is_none() {
-            // Not a typed insert: it may take long (a select, an
-            // unregistration's drain), so nothing waits behind it.
+            // Not a typed insert: it may take long (a select) or park
+            // the connection, so nothing waits behind it.
             conn.pay(&mut owed);
         }
-        let span = (
-            received.elapsed().as_nanos() as u64,
-            req_kind(&msg.request),
+        let claimed = Instant::now();
+        let op = PendingOp {
+            trace_id: msg.trace.unwrap_or(0),
+            kind: req_kind(&msg.request),
             table,
-            Instant::now(),
-        );
+            queue_ns: received.elapsed().as_nanos() as u64,
+            claimed,
+            appended: claimed,
+        };
         let awaiting = run.awaiting();
-        let reply = {
-            let mut registered = conn.registered.lock();
-            stage_request(ctx, &mut run, &mut registered, sink, msg.request, token)
+        let reply = match msg.request {
+            Request::UnregisterAutomaton { id } => {
+                let parked = (msg.seq, op.clone());
+                match park_on_drain(ctx, job_tx, conn, AutomatonId(id), parked) {
+                    Some(reply) => reply,
+                    None => return,
+                }
+            }
+            request => {
+                let mut registered = conn.registered.lock();
+                stage_request(ctx, &mut run, &mut registered, sink, request, token)
+            }
         };
         held.push(Held {
             seq: msg.seq,
             reply,
             awaits_commit: run.awaiting() != awaiting,
-            trace_id: msg.trace.unwrap_or(0),
-            span,
+            op,
         });
         if run.awaiting() == 0 {
             settle(ctx, conn, &mut run, &mut held, true, &mut owed);
@@ -1010,7 +1027,7 @@ fn flush_out(conn: &Conn, stats: &StatsInner) {
                     kind: op.kind,
                     table: op.table,
                     queue_ns: op.queue_ns,
-                    exec_ns: op.exec_ns,
+                    exec_ns: op.appended.saturating_duration_since(op.claimed).as_nanos() as u64,
                     flush_ns: now.saturating_duration_since(op.appended).as_nanos() as u64,
                 });
             }
@@ -1039,37 +1056,31 @@ fn reactor_loop(
         let force = drain_deadline.is_some_and(|d| Instant::now() >= d);
 
         // Finalisation sweep: flag finished (or force-expired)
-        // connections defunct and queue their teardown on a worker.
-        for conn in &conns {
+        // connections defunct and tear down each one no worker owns —
+        // past the grace period, a parked one too.
+        conns.retain(|conn| {
+            if force {
+                mark_defunct(&conn.shared, stats);
+            }
             let mut exec = conn.shared.exec.lock();
-            if force && !exec.defunct {
+            if exec.executing && !(force && exec.parked) {
+                return true;
+            }
+            if !exec.defunct {
+                let quiesced = exec.inbox.is_empty() && (exec.read_closed || draining);
+                if !quiesced || !conn.shared.out.lock().is_empty() {
+                    return true;
+                }
                 exec.defunct = true;
             }
-            if exec.torn_down || exec.executing {
-                continue;
-            }
-            if exec.defunct {
-                exec.executing = true;
-                drop(exec);
-                let _ = job_tx.send(Job::Conn(Arc::clone(&conn.shared)));
-                continue;
-            }
-            let quiesced = exec.inbox.is_empty() && (exec.read_closed || draining);
             drop(exec);
-            if quiesced && conn.shared.out.lock().is_empty() {
-                let mut exec = conn.shared.exec.lock();
-                // Re-check under the lock: a worker or a notification
-                // delivery may have raced new state in.
-                if !exec.executing && !exec.defunct && exec.inbox.is_empty() {
-                    exec.defunct = true;
-                    exec.executing = true;
-                    drop(exec);
-                    let _ = job_tx.send(Job::Conn(Arc::clone(&conn.shared)));
-                }
+            for id in conn.shared.registered.lock().drain() {
+                let _ = cache.detach_automaton(id, || {});
             }
-        }
-        // Dropping a torn-down Conn closes its socket.
-        conns.retain(|c| !c.shared.exec.lock().torn_down);
+            stats.active.fetch_sub(1, Ordering::Release);
+            // Dropping the Conn closes its socket.
+            false
+        });
 
         if draining && conns.is_empty() {
             return;

@@ -17,12 +17,12 @@
 //!   automaton-pool worker that runs `send()` puts the notification on
 //!   the writer's queue itself — one hop, no router thread and no route
 //!   table in between;
-//! * when the peer disconnects, its automata are unregistered (and their
-//!   sinks dropped with them), exactly as the paper's cache reclaims
-//!   state for vanished applications. Unregistration is the cache's
-//!   acknowledged drain, so every notification an automaton produced is
-//!   on the writer's queue before its `Unregistered` reply and none can
-//!   follow it.
+//! * an unregistration waits, on this connection's thread only, for the
+//!   automaton's drain, so every notification it produced is on the
+//!   writer's queue before the `Unregistered` reply and none can follow;
+//! * when the peer disconnects, its automata are detached without a
+//!   wait, exactly as the paper's cache reclaims state for vanished
+//!   applications.
 //!
 //! [`serve_connection`] runs this loop over any duplex transport. It is
 //! the server behind [`crate::client::CacheClient::connect_inproc`], and
@@ -38,9 +38,7 @@ use crossbeam::channel::{unbounded, Sender};
 use pscache::{AutomatonId, Cache, IdemToken, NotificationSink};
 
 use crate::error::Result;
-use crate::exec::{
-    handle_request, notification_message, teardown_registered, RequestCtx, StatsInner,
-};
+use crate::exec::{handle_request, notification_message, RequestCtx, StatsInner};
 use crate::message::{ClientMessage, ServerMessage};
 use crate::transport::{RecvHalf, SendHalf};
 
@@ -81,10 +79,12 @@ pub fn serve_connection(
     let mut registered = HashSet::new();
     let result = serve_requests(&ctx, &mut registered, &sink, &mut recv);
 
-    // The client is gone: its automata go with it, and with them every
-    // clone of the sink — which is what lets the writer below see the
-    // channel close.
-    teardown_registered(&ctx, &mut registered);
+    // The client is gone: its automata go with it, and their drains drop
+    // every clone of the sink — which is what lets the writer below see
+    // the channel close.
+    for id in registered {
+        let _ = cache.detach_automaton(id, || {});
+    }
     drop(sink);
     let _ = writer.join();
     stats.active.fetch_sub(1, Ordering::Release);

@@ -24,9 +24,10 @@
 #           plus the differential property suite proving a partitioned
 #           cluster is indistinguishable from one cache
 #   repeat  the suites whose flows ring the reactor's doorbell from
-#           many threads at once, REPEATS (10) passes each in release,
-#           with pass counts: a lost wake is a race that one tier-1
-#           pass can miss
+#           many threads at once or hand an unregistration's reply from
+#           an automaton's drain back to a connection, REPEATS (10)
+#           passes each in release, with pass counts: a lost wake or a
+#           lost hand-off is a race that one tier-1 pass can miss
 #   psbench the end-to-end benchmark's smoke run (benchmark/smoke.sh):
 #           all four psbench workloads, briefly, with their correctness
 #           oracles — SIGKILL-and-recover, follower-equals-primary
@@ -133,12 +134,13 @@ REPEAT_SUITES='
 --test rpc_chaos
 --test notification_delivery
 --test protection_chaos
+--test fanout_stress
 -p psrpc --lib poll::tests
 '
 
 stage_repeat() {
     cargo test --release -q --no-run --test rpc_chaos --test notification_delivery \
-        --test protection_chaos
+        --test protection_chaos --test fanout_stress
     cargo test --release -q --no-run -p psrpc --lib
     failed=0
     while read -r suite; do

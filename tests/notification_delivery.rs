@@ -4,7 +4,9 @@
 //!
 //! * unregistration is a fence — every notification the automaton
 //!   produced is on the wire before the `Unregistered` reply and none
-//!   follows it, with no quiesce in between;
+//!   follows it, with no quiesce in between; when one connection
+//!   unregisters another's automaton, the notifications stay on the
+//!   registering connection and the reply goes to the one that asked;
 //! * automata pinned to different pool workers deliver into one
 //!   connection concurrently, and a multi-fragment notification is still
 //!   one contiguous run of fragments on the wire, in per-automaton order.
@@ -24,10 +26,9 @@ use std::time::Duration;
 
 use gapl::event::Scalar;
 use psrpc::client::CacheClient;
-use psrpc::framing;
-use psrpc::message::{CacheReply, ClientMessage, Request, ServerMessage};
+use psrpc::message::{CacheReply, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
-use support::OracleServer;
+use support::{connect, next_frame, send, OracleServer};
 use unipubsub::prelude::*;
 
 /// Run `body` against a fresh cache served by each server flavour.
@@ -38,25 +39,6 @@ fn on_both_servers(build: impl Fn() -> pscache::Cache, body: impl Fn(&str, Socke
     let reactor = ReactorServer::bind(build(), "127.0.0.1:0").unwrap();
     body("reactor", reactor.local_addr());
     reactor.shutdown();
-}
-
-fn send(stream: &mut TcpStream, seq: u64, request: Request) {
-    let msg = ClientMessage {
-        seq,
-        token: None,
-        trace: None,
-        request,
-    };
-    framing::write_message(stream, &msg.encode()).unwrap();
-}
-
-/// The next logical message on the wire. A fragment of one message
-/// spliced into another fails here, in reassembly or in decoding.
-fn next_frame(stream: &mut TcpStream) -> ServerMessage {
-    let bytes = framing::read_message(stream)
-        .unwrap()
-        .expect("the server closed the connection");
-    ServerMessage::decode(&bytes).unwrap()
 }
 
 fn register(stream: &mut TcpStream, seq: u64, source: &str) -> u64 {
@@ -87,8 +69,16 @@ fn every_notification_precedes_the_unregistered_reply_and_none_follows() {
         cache
     };
     on_both_servers(build, |kind, addr| {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let id = register(&mut stream, 1, "subscribe t to T; behavior { send(t.v); }");
+        let mut stream = connect(addr);
+        // The first event holds the automaton for 200 ms, so the
+        // mailbox is still full when the unregistration arrives.
+        let id = register(
+            &mut stream,
+            1,
+            "subscribe t to T; tstamp start; behavior { if (t.v == 0) { \
+             start = tstampNow(); while (tstampDiff(tstampNow(), start) < 200000000) { } } \
+             send(t.v); }",
+        );
 
         // K inserts, the unregistration and a trailing ping, all written
         // before a single byte is read: the unregistration races events
@@ -128,6 +118,7 @@ fn every_notification_precedes_the_unregistered_reply_and_none_follows() {
                 }
                 ServerMessage::Reply { seq, reply } if seq == PING => {
                     assert_eq!(reply, CacheReply::Pong, "{kind}");
+                    assert!(unregistered, "{kind}: the ping overtook the unregister");
                     break;
                 }
                 ServerMessage::Reply { reply, .. } => {
@@ -149,6 +140,99 @@ fn every_notification_precedes_the_unregistered_reply_and_none_follows() {
     });
 }
 
+/// Any connection may unregister any automaton. B unregisters the one A
+/// registered, behind B's own inserts into its topic: B gets every
+/// `Inserted` and then `Unregistered`, and no notification; A gets every
+/// notification and no stray reply — its ping, sent once B holds the
+/// reply, is the next thing after the last notification. A's later
+/// disconnect is clean: it detaches nothing twice, and B is still
+/// served.
+#[test]
+fn one_connection_unregisters_another_connections_automaton() {
+    const K: u64 = 100;
+    const UNREGISTER: u64 = K + 1;
+    const PING: u64 = K + 2;
+    let build = || {
+        let cache = CacheBuilder::new().build();
+        cache.execute("create table T (v integer)").unwrap();
+        cache
+    };
+    on_both_servers(build, |kind, addr| {
+        let mut a = connect(addr);
+        let mut b = connect(addr);
+        let id = register(&mut a, 1, "subscribe t to T; behavior { send(t.v); }");
+        for v in 0..K {
+            send(
+                &mut b,
+                1 + v,
+                Request::Insert {
+                    table: "T".into(),
+                    values: vec![Scalar::Int(v as i64)],
+                    upsert: false,
+                },
+            );
+        }
+        send(&mut b, UNREGISTER, Request::UnregisterAutomaton { id });
+        for seq in 1..=UNREGISTER {
+            match next_frame(&mut b) {
+                ServerMessage::Reply { seq: got, reply } if got == seq => {
+                    if seq == UNREGISTER {
+                        assert_eq!(reply, CacheReply::Unregistered, "{kind}");
+                    } else {
+                        assert!(matches!(reply, CacheReply::Inserted { .. }), "{kind}");
+                    }
+                }
+                other => panic!("{kind}: unexpected frame on B: {other:?}"),
+            }
+        }
+
+        send(&mut a, 2, Request::Ping);
+        for v in 0..K {
+            match next_frame(&mut a) {
+                ServerMessage::Notification {
+                    automaton, values, ..
+                } => {
+                    assert_eq!(automaton, id, "{kind}");
+                    assert_eq!(values, vec![Scalar::Int(v as i64)], "{kind}");
+                }
+                other => panic!("{kind}: unexpected frame on A: {other:?}"),
+            }
+        }
+        match next_frame(&mut a) {
+            ServerMessage::Reply { seq, reply } => {
+                assert_eq!((seq, reply), (2, CacheReply::Pong), "{kind}");
+            }
+            other => panic!("{kind}: unexpected frame on A: {other:?}"),
+        }
+
+        drop(a);
+        let counters = |b: &mut TcpStream, seq: u64| {
+            send(b, seq, Request::Metrics);
+            match next_frame(b) {
+                ServerMessage::Reply {
+                    reply: CacheReply::Metrics { snapshot },
+                    ..
+                } => (
+                    snapshot.counter("connections_active").unwrap(),
+                    snapshot.counter("automaton_unregistrations").unwrap(),
+                ),
+                other => panic!("{kind}: unexpected frame on B: {other:?}"),
+            }
+        };
+        let mut seq = PING;
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while counters(&mut b, seq).0 != 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{kind}: A was never torn down"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+            seq += 1;
+        }
+        assert_eq!(counters(&mut b, seq + 1), (1, 1), "{kind}");
+    });
+}
+
 #[test]
 fn concurrent_multi_fragment_notifications_never_interleave_on_the_wire() {
     const AUTOMATA: u64 = 8;
@@ -165,7 +249,7 @@ fn concurrent_multi_fragment_notifications_never_interleave_on_the_wire() {
         cache
     };
     on_both_servers(build, |kind, addr| {
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = connect(addr);
         let ids: Vec<u64> = (0..AUTOMATA)
             .map(|i| {
                 register(
@@ -227,12 +311,9 @@ fn a_drained_run_of_notifications_rings_the_doorbell_once() {
     cache.execute("create table Gate (ms integer)").unwrap();
     cache.execute("create table T (v integer)").unwrap();
     let server = ReactorServer::bind(cache, "127.0.0.1:0").unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     // A lost ring strands bytes in the outbox: fail on it, never wait
     // forever for it.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut stream = connect(server.local_addr());
     let gate = register(
         &mut stream,
         1,

@@ -10,8 +10,9 @@
 //!   well-behaved clients (≥ 50% of their isolated throughput) and it
 //!   cannot starve the health probe (every probe answers fast, because
 //!   the reactor thread answers `Metrics` inline);
-//! * a worker wedged behind a long automaton run cannot hold up
-//!   `server_stats()` or `health()` either;
+//! * an automaton wedged in a long run holds up nobody but the
+//!   connection that waits on its unregistration: not an RPC worker, not
+//!   another connection, not a disconnect's teardown, not a shutdown;
 //! * a client that registers an automaton and then stops draining its
 //!   socket is evicted once its outbox passes the configured bound —
 //!   bounded memory per connection, neighbours unaffected;
@@ -20,6 +21,8 @@
 //!   server crashes and recovers from its WAL in between, and even
 //!   when a follower replica is promoted and the retry lands on the
 //!   *new* primary. Zero `MaybeApplied`, zero duplicates.
+
+mod support;
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -33,6 +36,7 @@ use psrpc::client::{CacheClient, ReconnectPolicy};
 use psrpc::framing;
 use psrpc::message::{CacheReply, ClientMessage, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
+use support::{connect, next_frame, send};
 use unipubsub::prelude::*;
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -198,78 +202,225 @@ fn a_flooding_client_is_throttled_while_neighbours_and_health_stay_responsive() 
     server.shutdown();
 }
 
-/// The control plane does not queue behind a wedged worker. The only
-/// RPC worker is stuck in an unregister that waits for the drain of an
-/// automaton busy in a bounded GAPL loop on the only automaton worker;
-/// a second connection's `server_stats()` and `health()` still answer
-/// within a second, while the wedge is still in force.
+/// Send `request` and return its reply, the next frame on the stream.
+fn call_raw(stream: &mut TcpStream, seq: u64, request: Request) -> CacheReply {
+    send(stream, seq, request);
+    match next_frame(stream) {
+        ServerMessage::Reply { seq: got, reply } if got == seq => reply,
+        other => panic!("unexpected frame: {other:?}"),
+    }
+}
+
+/// Assert that `op` answers within a second.
+fn within_a_second<T>(what: &str, op: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = op();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+    out
+}
+
+/// Spins for `t.ms` milliseconds of wall clock, then returns: the loop
+/// is bounded, so the node still shuts down cleanly.
+const SPINNER: &str = "subscribe t to Spin; tstamp start; behavior { start = tstampNow(); \
+     while (tstampDiff(tstampNow(), start) < t.ms * 1000000) { } }";
+
+/// An unregistration waiting on a wedged automaton holds no RPC worker.
+/// The only automaton worker is busy in a bounded GAPL loop when the only
+/// RPC worker receives an unregister of that automaton: the connection
+/// parks on the automaton's drain and the worker is free at once
+/// (`rpc_worker_busy` reads 0). While the wedge holds, a second
+/// connection's insert, select, `server_stats()` and `health()` each
+/// answer within a second, and the owner hears nothing; when the loop
+/// ends, the owner's `Unregistered` reply arrives first and the ping
+/// pipelined behind it second.
 #[test]
-fn a_wedged_worker_does_not_block_stats_or_health() {
+fn an_unregister_parked_on_a_wedged_automaton_holds_no_worker() {
     const SPIN_MS: i64 = 4_000;
+    const UNREGISTER: u64 = 3;
+    const PING: u64 = 4;
     let cache = CacheBuilder::new()
         .rpc_workers(1)
         .automaton_workers(1)
         .build();
     cache.execute("create table Spin (ms integer)").unwrap();
+    cache.execute("create table T (v integer)").unwrap();
     let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
-    let owner = CacheClient::connect(server.local_addr()).unwrap();
-    // Spins for `t.ms` milliseconds of wall clock, then returns: the
-    // loop is bounded, so the node still shuts down cleanly.
-    let spinner = owner
-        .register_automaton(
-            "subscribe t to Spin; tstamp start; behavior { start = tstampNow(); \
-             while (tstampDiff(tstampNow(), start) < t.ms * 1000000) { } }",
-        )
-        .unwrap();
-    owner.insert("Spin", vec![Scalar::Int(SPIN_MS)]).unwrap();
-    let unregistered = Arc::new(AtomicBool::new(false));
-    let wedge = {
-        let unregistered = Arc::clone(&unregistered);
-        std::thread::spawn(move || {
-            let result = owner.unregister_automaton(spinner);
-            unregistered.store(true, Ordering::Release);
-            result
-        })
+    let mut owner = connect(server.local_addr());
+    let registered = call_raw(
+        &mut owner,
+        1,
+        Request::RegisterAutomaton {
+            source: SPINNER.into(),
+        },
+    );
+    let CacheReply::Registered { id: spinner } = registered else {
+        panic!("unexpected registration reply: {registered:?}");
     };
-    // The unregister is on the worker once the automaton has left the
-    // registry while the worker is still busy waiting for its drain.
+    let spin = Request::Insert {
+        table: "Spin".into(),
+        values: vec![Scalar::Int(SPIN_MS)],
+        upsert: false,
+    };
+    assert!(matches!(
+        call_raw(&mut owner, 2, spin),
+        CacheReply::Inserted { .. }
+    ));
+    send(
+        &mut owner,
+        UNREGISTER,
+        Request::UnregisterAutomaton { id: spinner },
+    );
+    send(&mut owner, PING, Request::Ping);
+    // Detached, and the worker that detached it is already free.
     assert!(
         wait_until(Duration::from_secs(2), || {
-            cache.automata().is_empty() && server.stats().rpc_worker_busy == 1
+            cache.automata().is_empty() && server.stats().rpc_worker_busy == 0
         }),
-        "the unregister never reached the worker"
+        "the unregister still holds the worker: {:?}",
+        server.stats()
     );
 
     let probe = CacheClient::connect(server.local_addr()).unwrap();
-    let t = Instant::now();
-    let stats = probe.server_stats().unwrap();
-    let stats_took = t.elapsed();
+    within_a_second("an insert", || {
+        probe.insert("T", vec![Scalar::Int(1)]).unwrap()
+    });
+    let rows = within_a_second("a select", || probe.select("select * from T").unwrap());
+    assert_eq!(rows.len(), 1);
+    let stats = within_a_second("server_stats", || probe.server_stats().unwrap());
+    let health = within_a_second("health", || probe.health().unwrap());
+    assert_eq!(stats.rpc_worker_busy, 0);
+    assert_eq!((health.rpc_worker_busy, health.rpc_workers), (0, 1));
+    // The wedge held throughout: nothing has come back to the owner.
+    owner
+        .set_read_timeout(Some(Duration::from_millis(1)))
+        .unwrap();
     assert!(
-        !unregistered.load(Ordering::Acquire),
-        "the wedge cleared before server_stats answered"
+        owner.peek(&mut [0u8; 1]).is_err(),
+        "the wedge cleared before the probes were answered"
     );
-    let t = Instant::now();
-    let health = probe.health().unwrap();
-    let health_took = t.elapsed();
-    assert!(
-        !unregistered.load(Ordering::Acquire),
-        "the wedge cleared before health answered"
-    );
-    assert!(
-        stats_took < Duration::from_secs(1),
-        "server_stats took {stats_took:?}"
-    );
-    assert!(
-        health_took < Duration::from_secs(1),
-        "health took {health_took:?}"
-    );
-    // Both replies saw the wedged worker.
-    assert_eq!(stats.rpc_worker_busy, 1);
-    assert_eq!((health.rpc_worker_busy, health.rpc_workers), (1, 1));
+    owner
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
 
-    wedge.join().unwrap().unwrap();
+    match next_frame(&mut owner) {
+        ServerMessage::Reply { seq, reply } => {
+            assert_eq!((seq, reply), (UNREGISTER, CacheReply::Unregistered));
+        }
+        other => panic!("unexpected frame: {other:?}"),
+    }
+    match next_frame(&mut owner) {
+        ServerMessage::Reply { seq, reply } => assert_eq!((seq, reply), (PING, CacheReply::Pong)),
+        other => panic!("unexpected frame: {other:?}"),
+    }
     drop(probe);
     server.shutdown();
+}
+
+/// Releases the held spinner below when dropped, so a failing test does
+/// not leave a pool worker spinning out its cap.
+struct Release(Cache);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        let _ = self
+            .0
+            .upsert("Release", vec![Scalar::Str("go".into()), Scalar::Int(1)]);
+    }
+}
+
+/// Neither a disconnect nor a shutdown waits on an automaton. The only
+/// automaton worker spins until released; a client with three automata
+/// pinned to it disconnects, and its connection is gone within a second
+/// while a second connection is served. A third connection is parked on
+/// the unregistration of a fourth automaton behind the spin, so the
+/// shutdown's force-sweep must tear it down: `ReactorServer::shutdown`
+/// returns within its five-second drain grace plus one second, with the
+/// automaton still spinning.
+#[test]
+fn a_disconnect_and_a_shutdown_never_wait_on_a_wedged_automaton() {
+    /// The held spin's own cap: far past the test's end.
+    const CAP_MS: i64 = 20_000;
+    /// `reactor::DRAIN_GRACE` plus one second.
+    const SHUTDOWN_BOUND: Duration = Duration::from_secs(6);
+    let cache = CacheBuilder::new()
+        .rpc_workers(1)
+        .automaton_workers(1)
+        .build();
+    cache.execute("create table Spin (ms integer)").unwrap();
+    cache.execute("create table T (v integer)").unwrap();
+    cache
+        .execute("create persistenttable Release (k varchar(8) primary key, v integer)")
+        .unwrap();
+    let release = Release(cache.clone());
+    let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+
+    let owner = CacheClient::connect(addr).unwrap();
+    owner
+        .register_automaton(
+            "subscribe t to Spin; associate r with Release; tstamp start; behavior { \
+             start = tstampNow(); while (!hasEntry(r, 'go') && \
+             tstampDiff(tstampNow(), start) < t.ms * 1000000) { } }",
+        )
+        .unwrap();
+    for _ in 0..2 {
+        owner
+            .register_automaton("subscribe t to T; behavior { send(t.v); }")
+            .unwrap();
+    }
+    owner.insert("Spin", vec![Scalar::Int(CAP_MS)]).unwrap();
+    let spin_started = Instant::now();
+
+    let mut parked = connect(addr);
+    let registered = call_raw(
+        &mut parked,
+        1,
+        Request::RegisterAutomaton {
+            source: "subscribe t to T; behavior { }".into(),
+        },
+    );
+    let CacheReply::Registered { id: fourth } = registered else {
+        panic!("unexpected registration reply: {registered:?}");
+    };
+    send(&mut parked, 2, Request::UnregisterAutomaton { id: fourth });
+    assert!(
+        wait_until(Duration::from_secs(2), || {
+            !cache.automata().contains(&AutomatonId(fourth)) && server.stats().rpc_worker_busy == 0
+        }),
+        "the unregister still holds the worker: {:?}",
+        server.stats()
+    );
+
+    let probe = CacheClient::connect(addr).unwrap();
+    assert_eq!(probe.server_stats().unwrap().connections_active, 3);
+    drop(owner);
+    assert!(
+        wait_until(Duration::from_secs(1), || {
+            server.stats().connections_active == 2
+        }),
+        "the disconnect waited on the wedge: {:?}",
+        server.stats()
+    );
+    assert!(cache.automata().is_empty());
+    within_a_second("an insert", || {
+        probe.insert("T", vec![Scalar::Int(1)]).unwrap()
+    });
+    within_a_second("a select", || probe.select("select * from T").unwrap());
+    within_a_second("metrics", || probe.metrics().unwrap());
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < SHUTDOWN_BOUND, "shutdown took {took:?}");
+    assert!(
+        spin_started.elapsed() < Duration::from_millis(CAP_MS as u64),
+        "the spin ended before the shutdown returned"
+    );
+    // Force-closed without a reply.
+    assert_eq!(parked.read(&mut [0u8; 1]).unwrap(), 0);
+    drop(release);
+    cache.shutdown();
 }
 
 // ---------------------------------------------------------------------
