@@ -215,10 +215,13 @@ impl CacheBuilder {
         self
     }
 
-    /// Logged records between automatic snapshot + log-truncation
-    /// checkpoints (default [`DEFAULT_CHECKPOINT_EVERY`]; 0 disables
-    /// automatic checkpoints — [`Cache::checkpoint`] still works). Only
-    /// meaningful together with [`CacheBuilder::durability`].
+    /// Logged records between automatic checkpoints (default
+    /// [`DEFAULT_CHECKPOINT_EVERY`]; 0 disables automatic checkpoints —
+    /// [`Cache::checkpoint`] still works). Each writes what changed
+    /// since the previous one (see [`Cache::checkpoint`]) and truncates
+    /// the log; a failed one is retried after another `records`
+    /// records. Only meaningful together with
+    /// [`CacheBuilder::durability`].
     pub fn checkpoint_every(mut self, records: u64) -> Self {
         self.checkpoint_every = records;
         self
@@ -930,14 +933,22 @@ impl Cache {
     }
 
     /// Force a checkpoint now: flush and rotate the log, write a
-    /// consistent snapshot of every table to `snapshot.snap`, and delete
-    /// the rotated log. Bounds recovery time; runs automatically every
+    /// consistent image of every table, and delete the rotated log.
+    /// The image is a *delta* `delta-<n>.snap` — each key changed since
+    /// the previous checkpoint, as its latest row or its removal, plus
+    /// the table list, watermarks and token table — over the base
+    /// `snapshot.snap`; or a new base holding every row, when there is
+    /// no base, a table was created or dropped since it, a checkpoint
+    /// failed, or the deltas would hold as many entries as the tables
+    /// hold rows. Recovery folds the base and its deltas into one
+    /// image. Bounds recovery time; runs automatically every
     /// [`CacheBuilder::checkpoint_every`] records.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Wal`] when durability is not enabled or the
-    /// snapshot cannot be persisted.
+    /// image cannot be persisted; the failure counts in
+    /// [`WalStats::checkpoint_failures`].
     pub fn checkpoint(&self) -> Result<()> {
         self.inner.checkpoint()
     }
@@ -1535,6 +1546,7 @@ impl Cache {
                 ("wal_records", wal.records),
                 ("wal_syncs", wal.syncs),
                 ("wal_checkpoints", wal.checkpoints),
+                ("wal_checkpoint_failures", wal.checkpoint_failures),
                 ("wal_replayed", wal.replayed),
                 (
                     "repl_is_follower",
@@ -2009,9 +2021,10 @@ impl CacheInner {
     /// and the rest carry on; re-checking the threshold under the lock
     /// keeps a raced-ahead second checkpoint from running back-to-back.
     /// Failures are not fatal to the insert that tripped the threshold
-    /// (its record is already durable); the un-reset counter retries the
-    /// checkpoint on the next write, and [`Cache::checkpoint`] surfaces
-    /// the error to callers who want it.
+    /// (its record is already durable): they count in
+    /// [`WalStats::checkpoint_failures`], and the checkpoint is retried
+    /// after another `checkpoint_every` records. [`Cache::checkpoint`]
+    /// surfaces the error to callers who want it.
     fn maybe_checkpoint(&self) {
         if let Some(wal) = &self.wal {
             if wal.checkpoint_due() && !self.shutting_down.load(Ordering::Acquire) {
@@ -2024,7 +2037,7 @@ impl CacheInner {
         }
     }
 
-    /// Snapshot every table and truncate the logs. See
+    /// Checkpoint every table and truncate the logs. See
     /// [`Cache::checkpoint`] for the public contract.
     pub(crate) fn checkpoint(&self) -> Result<()> {
         let Some(wal) = &self.wal else {
@@ -2036,47 +2049,89 @@ impl CacheInner {
 
     /// The three checkpoint phases; callers hold [`CacheInner::checkpoint_lock`].
     fn checkpoint_phases(&self, wal: &Arc<Wal>) -> Result<()> {
+        let result = self.checkpoint_files(wal);
+        if result.is_err() {
+            wal.checkpoint_failed();
+        }
+        result
+    }
+
+    fn checkpoint_files(&self, wal: &Arc<Wal>) -> Result<()> {
         // Phase 1: rotate the logs. Records appended from here on go to
-        // fresh files and are *newer* than the snapshot below; records
+        // fresh files and are *newer* than the image below; records
         // already in the rotated files are *older* and will be covered
         // by it (each table's watermark is read under the same lock that
-        // appends its records, so snapshot and log can never disagree).
+        // appends its records, so image and log can never disagree).
         wal.rotate_begin()?;
-        // Phase 2: snapshot every table. Locks are taken one table at a
-        // time — inserts into other tables proceed during the copy.
-        let mut tables = Vec::new();
-        for (name, table) in self.tables.tables() {
-            let guard = table.lock();
-            let schema = guard.schema();
-            let columns = schema
+        // Phase 2: write what changed since the last checkpoint as a
+        // delta over the base, or the whole image as a new base once the
+        // deltas would hold as many entries as the tables hold rows, or
+        // when no delta can describe the change (see `Wal::delta_entries`
+        // and `Table::capture_delta`).
+        let tables = self.tables.tables();
+        let names: Vec<&str> = tables.iter().map(|(name, _)| name.as_str()).collect();
+        if let Some(written) = wal.delta_entries(&names) {
+            if let Some((delta, live)) = self.capture(&tables, true) {
+                if written + delta.entries() < live {
+                    wal.write_delta(&delta)?;
+                    return wal.rotate_end();
+                }
+            }
+        }
+        let (base, _) = self
+            .capture(&tables, false)
+            .expect("a base capture describes every table");
+        wal.write_base(&base)?;
+        // Phase 3: the image is durable; the rotated logs are dead.
+        wal.rotate_end()
+    }
+
+    /// Capture every table for a checkpoint image — a delta when
+    /// `delta`, else a base — plus the live row count of the persistent
+    /// tables. Locks are taken one table at a time, so inserts into
+    /// other tables proceed during the capture, and each table's rows,
+    /// watermark and change set are read in one critical section. A
+    /// delta capture returns `None` when some table has no image on
+    /// disk to be a delta of; the caller then captures a base, which
+    /// needs no change set.
+    fn capture(
+        &self,
+        tables: &[(String, Arc<crate::table::TableHandle>)],
+        delta: bool,
+    ) -> Option<(wal::Snapshot<Tuple>, u64)> {
+        let mut image = Vec::with_capacity(tables.len());
+        let mut live = 0u64;
+        for (name, table) in tables {
+            let mut guard = table.lock();
+            // Staged rows are captured too: their records are appended
+            // and covered by the watermark read below — an image
+            // claiming their LSNs must contain them.
+            let (rows, removed) = if delta {
+                guard.capture_delta()?
+            } else {
+                (guard.capture_base(), Vec::new())
+            };
+            if guard.kind() == TableKind::Persistent {
+                live += guard.len() as u64;
+            }
+            let columns = guard
+                .schema()
                 .attributes()
                 .iter()
                 .map(|a| (a.name.clone(), a.ty))
                 .collect();
-            // `checkpoint_rows`, not `scan`: rows staged by in-flight
-            // writers (awaiting group commit) are already covered by
-            // the watermark read below — a snapshot claiming their
-            // LSNs must contain them.
-            let rows = if guard.kind() == TableKind::Persistent {
-                guard
-                    .checkpoint_rows()
-                    .iter()
-                    .map(|t| (t.tstamp(), t.values().to_vec()))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            tables.push(SnapshotTable {
-                name,
+            image.push(SnapshotTable {
+                name: name.clone(),
                 kind: guard.kind(),
                 capacity: guard.stream_capacity(),
                 columns,
                 watermark: guard.wal_watermark(),
                 rows,
+                removed,
             });
         }
-        // The token table is snapshotted *after* every table: a token is
-        // recorded under its table's lock, so any insert a table snapshot
+        // The token table is captured *after* every table: a token is
+        // recorded under its table's lock, so any insert a table capture
         // observed has its token here too (the reverse overlap — a token
         // whose insert replays from the fresh log — is harmless, since
         // re-recording is an idempotent overwrite).
@@ -2084,13 +2139,14 @@ impl CacheInner {
             let t = self.tokens.lock();
             (t.entries(), t.high_lsn())
         };
-        wal.write_snapshot(&wal::Snapshot {
-            tables,
-            tokens,
-            token_watermark,
-        })?;
-        // Phase 3: the snapshot is durable; the rotated logs are dead.
-        wal.rotate_end()
+        Some((
+            wal::Snapshot {
+                tables: image,
+                tokens,
+                token_watermark,
+            },
+            live,
+        ))
     }
 
     /// Re-apply recovered state exactly as a follower applies a shipped
@@ -2665,6 +2721,7 @@ impl CacheInner {
                 fresh.insert(values.clone(), *tstamp, true)?;
             }
             fresh.note_wal(snap.watermark);
+            fresh.mark_checkpointed();
             match self.tables.get(&snap.name) {
                 // Swap through the handle, not into it: `replace`
                 // rebinds the fresh table's snapshot and key map onto
@@ -3502,3 +3559,7 @@ mod tests {
         c.shutdown();
     }
 }
+
+#[cfg(test)]
+#[path = "checkpoint_tests.rs"]
+mod checkpoint_tests;

@@ -60,9 +60,9 @@ pub const DEFAULT_RPC_MAX_PIPELINE: usize = 128;
 /// Default number of logged records between automatic checkpoints when
 /// durability is enabled.
 ///
-/// A checkpoint rewrites every table into `snapshot.snap` and truncates
-/// the log, so it trades a burst of I/O for bounded recovery
-/// time. Ten thousand records keeps the log tail short (replay is tens
+/// A checkpoint writes the rows changed since the previous one (now and
+/// then a whole base image) and truncates the log, so it trades a burst
+/// of I/O for bounded recovery time. Ten thousand records keeps the log tail short (replay is tens
 /// of milliseconds) without snapshotting so often that checkpoint I/O
 /// competes with the insert path; tune via
 /// [`CacheBuilder::checkpoint_every`](crate::CacheBuilder::checkpoint_every)

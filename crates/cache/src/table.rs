@@ -35,7 +35,7 @@
 //! Every table is simultaneously a publish/subscribe topic with the same
 //! name; publication is handled by [`crate::cache::Cache`], not here.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -230,6 +230,45 @@ impl Table {
         match self {
             Table::Ephemeral(t) => t.cur.collect_since(None),
             Table::Persistent(t) => t.checkpoint_rows(),
+        }
+    }
+
+    /// Capture the table for a base checkpoint image: every row
+    /// [`Table::checkpoint_rows`] returns (none for a stream, whose rows
+    /// are never persisted). Change recording starts here, so the next
+    /// [`Table::capture_delta`] describes exactly what changes after
+    /// this capture. Call with the table lock held, like every writer.
+    pub(crate) fn capture_base(&mut self) -> Vec<Tuple> {
+        match self {
+            Table::Ephemeral(_) => Vec::new(),
+            Table::Persistent(t) => {
+                t.dirty = Some(HashSet::new());
+                t.checkpoint_rows()
+            }
+        }
+    }
+
+    /// Capture what changed since the previous capture, for a delta
+    /// checkpoint image: the latest row of every key staged or applied
+    /// since then, in log order (staged rows included, as in
+    /// [`Table::checkpoint_rows`]), and the keys whose latest operation
+    /// removed them, sorted. A stream has neither: the image's table
+    /// list describes it whole. `None` when no capture or install has
+    /// described a relation since it was built, so only a base can.
+    /// When it returns `Some`, change recording restarts here.
+    pub(crate) fn capture_delta(&mut self) -> Option<(Vec<Tuple>, Vec<Arc<str>>)> {
+        match self {
+            Table::Ephemeral(_) => Some((Vec::new(), Vec::new())),
+            Table::Persistent(t) => t.capture_delta(),
+        }
+    }
+
+    /// Declare the table equal to the checkpoint image it was just
+    /// installed from: change recording starts here, with nothing
+    /// changed.
+    pub(crate) fn mark_checkpointed(&mut self) {
+        if let Table::Persistent(t) = self {
+            t.dirty = Some(HashSet::new());
         }
     }
 
@@ -489,6 +528,12 @@ pub struct PersistentTable {
     last_tstamp: Timestamp,
     /// See [`Table::wal_watermark`].
     wal_watermark: u64,
+    /// Keys staged or applied since the last checkpoint capture, or
+    /// `None` while no checkpoint image describes the table (see
+    /// [`Table::capture_delta`]). Recording costs nothing until a
+    /// checkpoint first captures the table, so caches without
+    /// durability never record.
+    dirty: Option<HashSet<Arc<str>>>,
 }
 
 impl PersistentTable {
@@ -507,6 +552,7 @@ impl PersistentTable {
             stale: 0,
             last_tstamp: 0,
             wal_watermark: 0,
+            dirty: None,
         }
     }
 
@@ -551,6 +597,9 @@ impl PersistentTable {
             });
         }
         self.last_tstamp = tstamp;
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(Arc::clone(&key));
+        }
         self.ensure_capacity();
         self.cur.stage(
             self.tail,
@@ -577,6 +626,10 @@ impl PersistentTable {
 
     fn stage_remove(&mut self, key: &str) -> Option<Tuple> {
         let (replaces, removed) = self.effective_get(key)?;
+        let key: Arc<str> = Arc::from(key);
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(Arc::clone(&key));
+        }
         self.ensure_capacity();
         // The tombstone inherits the clamp watermark, not the removed
         // row's (possibly old) timestamp, so the log stays
@@ -593,7 +646,7 @@ impl PersistentTable {
         );
         self.pending.push(PendingOp::Del {
             idx: self.tail,
-            key: Arc::from(key),
+            key,
             replaces,
         });
         self.tail += 1;
@@ -670,6 +723,41 @@ impl PersistentTable {
             }
         }
         rows
+    }
+
+    /// See [`Table::capture_delta`].
+    fn capture_delta(&mut self) -> Option<(Vec<Tuple>, Vec<Arc<str>>)> {
+        let dirty = std::mem::take(self.dirty.as_mut()?);
+        // The newest staged operation per key outranks the committed
+        // map, exactly as in `effective_get`.
+        let mut staged: HashMap<&str, Option<(u64, &Tuple)>> = HashMap::new();
+        for op in &self.pending {
+            match op {
+                PendingOp::Put {
+                    idx, key, tuple, ..
+                } => staged.insert(key, Some((*idx, tuple))),
+                PendingOp::Del { key, .. } => staged.insert(key, None),
+            };
+        }
+        let keys = self.shared.keys.read();
+        let mut rows = Vec::with_capacity(dirty.len());
+        let mut removed = Vec::new();
+        for key in dirty {
+            let live = match staged.get(&*key) {
+                Some(op) => op.map(|(idx, tuple)| (idx, tuple.clone())),
+                None => keys.get(&key).map(|(idx, tuple)| (*idx, tuple.clone())),
+            };
+            match live {
+                Some(row) => rows.push(row),
+                None => removed.push(key),
+            }
+        }
+        // Every changed key's latest row was staged after the previous
+        // capture, hence after every unchanged row: log order among
+        // them is the order the full image holds them in.
+        rows.sort_unstable_by_key(|(idx, _)| *idx);
+        removed.sort_unstable();
+        Some((rows.into_iter().map(|(_, tuple)| tuple).collect(), removed))
     }
 
     /// Rebuild the log into a fresh generation once stale entries
@@ -906,6 +994,17 @@ impl TableStore {
     }
 }
 
+/// The primary key of a row given by its values alone — the rule
+/// [`primary_key`] applies — borrowed when the first attribute is a
+/// string.
+pub(crate) fn key_text(values: &[Scalar]) -> std::borrow::Cow<'_, str> {
+    match values.first() {
+        Some(Scalar::Str(s)) => std::borrow::Cow::Borrowed(s),
+        Some(other) => std::borrow::Cow::Owned(other.to_string()),
+        None => std::borrow::Cow::Borrowed(""),
+    }
+}
+
 /// The primary key of a persistent-table tuple: the display form of its
 /// first attribute.
 ///
@@ -916,8 +1015,7 @@ impl TableStore {
 pub fn primary_key(tuple: &Tuple) -> Arc<str> {
     match tuple.values().first() {
         Some(Scalar::Str(s)) => Arc::clone(s),
-        Some(other) => Arc::from(other.to_string()),
-        None => Arc::from(""),
+        _ => Arc::from(key_text(tuple.values())),
     }
 }
 

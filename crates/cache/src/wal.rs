@@ -30,16 +30,22 @@
 //!
 //! * **Checkpoints.** Every [`checkpoint_every`](crate::CacheBuilder::checkpoint_every)
 //!   records (or on [`Cache::checkpoint`](crate::Cache::checkpoint)) the
-//!   cache rotates the log (`wal-000.log` → `wal-000.log.1`), writes a
-//!   snapshot of every table to `snapshot.snap` (temp file + atomic
-//!   rename), and deletes the rotated log. Each table records the LSN of
-//!   its last logged record in the snapshot, which is what makes replay
-//!   exact under concurrency: a log record is applied at recovery only
-//!   if its LSN is newer than the snapshot's watermark for its table.
+//!   cache rotates the log (`wal-000.log` → `wal-000.log.1`), writes an
+//!   image of the tables (temp file `snapshot.tmp` + atomic rename), and
+//!   deletes the rotated log. The image is usually a **delta**
+//!   (`delta-<n>.snap`): each key changed since the previous checkpoint,
+//!   as its latest row or its removal, over the **base**
+//!   (`snapshot.snap`, every row). A base is written instead when no
+//!   delta can describe the change or the deltas have grown as large as
+//!   the tables (see `Wal::delta_entries`). Each table records the LSN
+//!   of its last logged record in every image, which is what makes
+//!   replay exact under concurrency: a log record is applied at recovery
+//!   only if its LSN is newer than the image's watermark for its table.
 //!
 //! * **Recovery.** [`Cache::recover`](crate::Cache::recover) (or
-//!   [`CacheBuilder::open`](crate::CacheBuilder::open)) loads the
-//!   snapshot, replays every complete log record in LSN order, and
+//!   [`CacheBuilder::open`](crate::CacheBuilder::open)) folds the base
+//!   and its deltas into one image, loads it, replays every complete log
+//!   record in LSN order, and
 //!   stops at the first torn or corrupt frame — a crash mid-write loses
 //!   at most the records that were never acknowledged. Replay rebuilds
 //!   table state byte-for-byte (same rows, same order, same timestamps)
@@ -69,6 +75,8 @@
 //!   stops accepting work loudly rather than silently widening the
 //!   divergence.
 
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -76,12 +84,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use gapl::event::{AttrType, Scalar};
+use gapl::event::{AttrType, Scalar, Tuple};
 
 use crate::error::{Error, Result};
 use crate::obs::Obs;
 use crate::protect::{decode_outcome, encode_outcome, TokenOutcome};
-use crate::table::TableKind;
+use crate::table::{key_text, TableKind};
 use crate::wire::{WireReader, WireWriter};
 
 /// Name of the snapshot file inside a durability directory.
@@ -99,44 +107,84 @@ pub struct WalStats {
     pub syncs: u64,
     /// Checkpoints completed (snapshot written, logs truncated).
     pub checkpoints: u64,
+    /// Checkpoints that failed. A failed automatic checkpoint is retried
+    /// only after another
+    /// [`checkpoint_every`](crate::CacheBuilder::checkpoint_every)
+    /// records, and the next one that succeeds writes a base.
+    pub checkpoint_failures: u64,
     /// Records replayed from the log when the cache was opened.
     pub replayed: u64,
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, dependency-free.
+// CRC-32 (IEEE 802.3), slice-by-16, dependency-free.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
+/// The slice-by-16 tables of the reflected IEEE polynomial, built at
+/// compile time. Row 0 is the classic byte-at-a-time table; row `k`
+/// advances a byte's contribution by `k` further zero bytes, so sixteen
+/// lookups fold sixteen input bytes into the register at once.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    })
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE) of `bytes` — the per-record checksum of the log format.
+/// Every append, every frame scan and every recovery pays it, so it
+/// consumes sixteen bytes per step; the output is the classic
+/// byte-at-a-time CRC's, bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -283,7 +331,7 @@ fn attr_from_byte(b: u8) -> Result<AttrType> {
 ///
 /// The length prefix is a `u32`, so a payload is capped at 4 GiB — far
 /// beyond any record (`MAX_BATCH_ROWS` bounds batches long before
-/// that); snapshots check the limit explicitly in [`encode_snapshot`]
+/// that); checkpoint images check the limit explicitly in [`seal`]
 /// and fail the checkpoint rather than write an undecodable frame.
 pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let len = u32::try_from(payload.len())
@@ -295,6 +343,36 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     framed
 }
 
+/// A writer for one frame built in place: its first eight bytes are
+/// reserved for the `[len][crc]` header that [`seal`] fills in once the
+/// payload follows, so no frame is copied to be framed.
+fn framed_writer(capacity: usize) -> WireWriter {
+    let mut w = WireWriter::with_capacity(capacity.max(64));
+    w.put_u64(0);
+    w
+}
+
+/// Fill in the header [`framed_writer`] reserved and return the frame.
+/// A payload past the `u32` length prefix is refused: the caller's
+/// checkpoint fails instead of writing a frame whose prefix lies.
+fn seal(mut w: WireWriter) -> Result<Vec<u8>> {
+    let payload = w.len() - 8;
+    let len = u32::try_from(payload).map_err(|_| {
+        Error::wal(format!(
+            "a payload of {payload} bytes exceeds the 4 GiB frame limit"
+        ))
+    })?;
+    let crc = crc32(&w.as_slice()[8..]);
+    w.patch_u32(0, len);
+    w.patch_u32(4, crc);
+    Ok(w.into_vec())
+}
+
+/// [`seal`] for a log record, which is always far below the limit.
+fn seal_record(w: WireWriter) -> Vec<u8> {
+    seal(w).expect("log records are bounded below the u32 length prefix")
+}
+
 pub(crate) fn encode_create(
     lsn: u64,
     name: &str,
@@ -302,7 +380,7 @@ pub(crate) fn encode_create(
     capacity: usize,
     columns: &[(String, AttrType)],
 ) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = framed_writer(128);
     w.put_u64(lsn);
     w.put_u8(OP_CREATE);
     w.put_str(name);
@@ -313,7 +391,7 @@ pub(crate) fn encode_create(
         w.put_str(col);
         w.put_u8(attr_to_byte(*ty));
     }
-    frame(&w.finish())
+    seal_record(w)
 }
 
 pub(crate) fn encode_insert(
@@ -324,7 +402,7 @@ pub(crate) fn encode_insert(
     rows: &[&[Scalar]],
     token: Option<(u64, u64, bool)>,
 ) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = framed_writer(128);
     w.put_u64(lsn);
     match token {
         None => w.put_u8(OP_INSERT),
@@ -342,26 +420,26 @@ pub(crate) fn encode_insert(
     for row in rows {
         w.put_scalars(row);
     }
-    frame(&w.finish())
+    seal_record(w)
 }
 
 pub(crate) fn encode_remove(lsn: u64, table: &str, key: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = framed_writer(64);
     w.put_u64(lsn);
     w.put_u8(OP_REMOVE);
     w.put_str(table);
     w.put_str(key);
-    frame(&w.finish())
+    seal_record(w)
 }
 
 pub(crate) fn encode_token(lsn: u64, client_id: u64, seq: u64, outcome: &TokenOutcome) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = framed_writer(64);
     w.put_u64(lsn);
     w.put_u8(OP_TOKEN);
     w.put_u64(client_id);
     w.put_u64(seq);
     encode_outcome(&mut w, outcome);
-    frame(&w.finish())
+    seal_record(w)
 }
 
 pub(crate) fn decode_record(payload: &[u8]) -> Result<ReplayOp> {
@@ -521,6 +599,37 @@ fn log_files(dir: &Path) -> Result<Vec<PathBuf>> {
     Ok(files)
 }
 
+/// Where a checkpoint image is written before its atomic rename.
+/// Recovery never reads it: a leftover is a checkpoint that crashed
+/// before its rename.
+fn temp_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.tmp")
+}
+
+/// Path of the `n`-th delta image.
+fn delta_path(dir: &Path, n: u64) -> PathBuf {
+    dir.join(format!("delta-{n}.snap"))
+}
+
+/// Every `delta-<n>.snap` in `dir` with its `n`, in ascending `n` —
+/// the order they were written in.
+fn delta_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        let n = name
+            .strip_prefix("delta-")
+            .and_then(|rest| rest.strip_suffix(".snap"))
+            .and_then(|n| n.parse::<u64>().ok());
+        if let Some(n) = n {
+            files.push((n, dir.join(&*name)));
+        }
+    }
+    files.sort_unstable();
+    Ok(files)
+}
+
 fn fsync_dir(dir: &Path) -> Result<()> {
     // Durability of a rename requires flushing the directory itself.
     File::open(dir)?.sync_all()?;
@@ -528,12 +637,46 @@ fn fsync_dir(dir: &Path) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots.
+// Snapshots: a base image plus the deltas written over it.
 // ---------------------------------------------------------------------------
+
+/// Format byte of a base image (`snapshot.snap`): 2 = the v1 table
+/// section plus a trailing token section. Version 1 still decodes.
+const BASE_VERSION: u8 = 2;
+
+/// Format byte of a delta image (`delta-<n>.snap`). Above every base
+/// version, so a delta can never decode as a base.
+const DELTA_VERSION: u8 = 3;
+
+/// A row as a checkpoint image holds it: its stored timestamp and its
+/// values. A capture encodes straight from the table's [`Tuple`]s; a
+/// decoded image owns its values.
+pub(crate) trait SnapshotRow {
+    fn tstamp(&self) -> u64;
+    fn values(&self) -> &[Scalar];
+}
+
+impl SnapshotRow for (u64, Vec<Scalar>) {
+    fn tstamp(&self) -> u64 {
+        self.0
+    }
+    fn values(&self) -> &[Scalar] {
+        &self.1
+    }
+}
+
+impl SnapshotRow for Tuple {
+    fn tstamp(&self) -> u64 {
+        Tuple::tstamp(self)
+    }
+    fn values(&self) -> &[Scalar] {
+        Tuple::values(self)
+    }
+}
 
 /// One table's worth of checkpoint state.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SnapshotTable {
+pub(crate) struct SnapshotTable<R = (u64, Vec<Scalar>)> {
     pub name: String,
     pub kind: TableKind,
     /// Circular-buffer capacity (streams only; 0 for relations).
@@ -542,19 +685,25 @@ pub(crate) struct SnapshotTable {
     /// LSN of the table's newest logged record at snapshot time; log
     /// records at or below this are already reflected in `rows`.
     pub watermark: u64,
-    /// Live rows in scan (time-of-insertion) order, with their stored
-    /// timestamps. Always empty for ephemeral streams.
-    pub rows: Vec<(u64, Vec<Scalar>)>,
+    /// In a base: the live rows in scan (time-of-insertion) order, with
+    /// their stored timestamps. In a delta: the latest row of each key
+    /// changed since the previous image, in log order. Always empty for
+    /// ephemeral streams.
+    pub rows: Vec<R>,
+    /// Keys removed since the previous image (deltas only; a base has
+    /// none).
+    pub removed: Vec<Arc<str>>,
 }
 
-/// A full checkpoint image: every table plus the idempotency-token
-/// table. The token watermark is written **before** the token entries so
+/// A checkpoint image: every table plus the idempotency-token table —
+/// a whole base, or a delta over the image before it. The token
+/// watermark is written **before** the token entries so
 /// [`scan_snapshot_high_watermark`]'s header-only walk can reach it
 /// without stepping over the entries.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Snapshot {
+pub(crate) struct Snapshot<R = (u64, Vec<Scalar>)> {
     /// Tables in snapshot order.
-    pub tables: Vec<SnapshotTable>,
+    pub tables: Vec<SnapshotTable<R>>,
     /// Idempotency-token outcomes as `(client_id, token_seq, outcome)`,
     /// in per-client FIFO (record) order.
     pub tokens: Vec<(u64, u64, TokenOutcome)>,
@@ -565,11 +714,21 @@ pub(crate) struct Snapshot {
     pub token_watermark: u64,
 }
 
-fn encode_snapshot(snapshot: &Snapshot) -> Result<Vec<u8>> {
-    let mut w = WireWriter::new();
-    w.put_u8(2); // version: 2 = v1 table section + trailing token section
-    w.put_u32(snapshot.tables.len() as u32);
-    for t in &snapshot.tables {
+impl<R> Snapshot<R> {
+    /// Rows plus removals a delta image carries.
+    pub(crate) fn entries(&self) -> u64 {
+        self.tables
+            .iter()
+            .map(|t| (t.rows.len() + t.removed.len()) as u64)
+            .sum()
+    }
+}
+
+/// The table section and the token section, shared by both image
+/// kinds; only a delta carries removals.
+fn put_image<R: SnapshotRow>(w: &mut WireWriter, image: &Snapshot<R>, delta: bool) {
+    w.put_u32(image.tables.len() as u32);
+    for t in &image.tables {
         w.put_str(&t.name);
         w.put_u8(kind_to_byte(t.kind));
         w.put_u64(t.capacity as u64);
@@ -580,29 +739,66 @@ fn encode_snapshot(snapshot: &Snapshot) -> Result<Vec<u8>> {
         }
         w.put_u64(t.watermark);
         w.put_u32(t.rows.len() as u32);
-        for (tstamp, values) in &t.rows {
-            w.put_u64(*tstamp);
-            w.put_scalars(values);
+        for row in &t.rows {
+            w.put_u64(row.tstamp());
+            w.put_scalars(row.values());
+        }
+        if delta {
+            w.put_u32(t.removed.len() as u32);
+            for key in &t.removed {
+                w.put_str(key);
+            }
+        } else {
+            debug_assert!(t.removed.is_empty(), "a base carries no removals");
         }
     }
-    w.put_u64(snapshot.token_watermark);
-    w.put_u32(snapshot.tokens.len() as u32);
-    for (client_id, seq, outcome) in &snapshot.tokens {
+    w.put_u64(image.token_watermark);
+    w.put_u32(image.tokens.len() as u32);
+    for (client_id, seq, outcome) in &image.tokens {
         w.put_u64(*client_id);
         w.put_u64(*seq);
-        encode_outcome(&mut w, outcome);
+        encode_outcome(w, outcome);
     }
-    let payload = w.finish();
-    if u32::try_from(payload.len()).is_err() {
-        // Refusing the checkpoint beats writing a frame whose u32 length
-        // prefix lies about the payload: the rotated logs stay on disk
-        // (rotate_end never runs) and recovery remains possible.
-        return Err(Error::wal(format!(
-            "snapshot payload of {} bytes exceeds the 4 GiB frame limit",
-            payload.len()
-        )));
+}
+
+/// Encode a base image as one frame, in one buffer of `capacity` bytes
+/// to start with (the previous base's size).
+pub(crate) fn encode_snapshot<R: SnapshotRow>(
+    snapshot: &Snapshot<R>,
+    capacity: usize,
+) -> Result<Vec<u8>> {
+    let mut w = framed_writer(capacity);
+    w.put_u8(BASE_VERSION);
+    put_image(&mut w, snapshot, false);
+    seal(w)
+}
+
+/// Encode a delta image over the base whose frame header is `base`.
+fn encode_delta<R: SnapshotRow>(
+    delta: &Snapshot<R>,
+    base: BaseId,
+    capacity: usize,
+) -> Result<Vec<u8>> {
+    let mut w = framed_writer(capacity);
+    w.put_u8(DELTA_VERSION);
+    w.put_u64(base.0);
+    put_image(&mut w, delta, true);
+    seal(w)
+}
+
+/// A base image's identity: its frame header, i.e. its payload length
+/// and checksum as one number. Each delta names the base it was
+/// written over, which is how recovery tells a delta older than the
+/// base from one that belongs to it. Two bases of one directory share
+/// an id only if they share a length and a CRC-32 — the odds of a
+/// corrupt frame passing its checksum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BaseId(u64);
+
+impl BaseId {
+    fn of(frame: &[u8]) -> Option<BaseId> {
+        Some(BaseId(u64::from_le_bytes(frame.get(..8)?.try_into().ok()?)))
     }
-    Ok(frame(&payload))
 }
 
 /// Highest LSN covered by a snapshot: the max of its per-table
@@ -694,16 +890,40 @@ pub(crate) fn scan_snapshot_high_watermark(bytes: &[u8]) -> Result<u64> {
     Ok(high)
 }
 
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
-    let (payloads, _) = scan_frames(bytes);
-    let payload = payloads
+/// The first frame of `bytes`, whole and checksummed, or an error
+/// naming what it should have been.
+fn first_payload<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
+    scan_frames(bytes)
+        .0
         .first()
-        .ok_or_else(|| Error::wal("snapshot file is torn or corrupt"))?;
-    let mut r = WireReader::new(payload);
+        .copied()
+        .ok_or_else(|| Error::wal(format!("{what} file is torn or corrupt")))
+}
+
+/// Decode a base image (`snapshot.snap`, or the image a replication
+/// bootstrap ships).
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
+    let mut r = WireReader::new(first_payload(bytes, "snapshot")?);
     let version = r.get_u8()?;
-    if version != 1 && version != 2 {
+    if version != 1 && version != BASE_VERSION {
         return Err(Error::wal(format!("unknown snapshot version {version}")));
     }
+    get_image(&mut r, version >= 2, false)
+}
+
+/// Decode a delta image and the identity of the base it was written
+/// over.
+fn decode_delta(bytes: &[u8]) -> Result<(BaseId, Snapshot)> {
+    let mut r = WireReader::new(first_payload(bytes, "delta")?);
+    let version = r.get_u8()?;
+    if version != DELTA_VERSION {
+        return Err(Error::wal(format!("unknown delta version {version}")));
+    }
+    let base = BaseId(r.get_u64()?);
+    Ok((base, get_image(&mut r, true, true)?))
+}
+
+fn get_image(r: &mut WireReader<'_>, with_tokens: bool, delta: bool) -> Result<Snapshot> {
     let ntables = r.get_u32()? as usize;
     if ntables > 1_000_000 {
         return Err(Error::wal("unreasonably many tables in snapshot"));
@@ -733,6 +953,17 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
             let tstamp = r.get_u64()?;
             rows.push((tstamp, r.get_scalars()?));
         }
+        let mut removed = Vec::new();
+        if delta {
+            let n = r.get_u32()? as usize;
+            if n > 100_000_000 {
+                return Err(Error::wal("unreasonably many removals in delta"));
+            }
+            removed.reserve(n);
+            for _ in 0..n {
+                removed.push(Arc::from(r.get_str_slice()?));
+            }
+        }
         tables.push(SnapshotTable {
             name,
             kind,
@@ -740,11 +971,12 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
             columns,
             watermark,
             rows,
+            removed,
         });
     }
     let mut tokens = Vec::new();
     let mut token_watermark = 0u64;
-    if version >= 2 {
+    if with_tokens {
         token_watermark = r.get_u64()?;
         let ntokens = r.get_u32()? as usize;
         if ntokens > 100_000_000 {
@@ -754,7 +986,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
         for _ in 0..ntokens {
             let client_id = r.get_u64()?;
             let seq = r.get_u64()?;
-            tokens.push((client_id, seq, decode_outcome(&mut r)?));
+            tokens.push((client_id, seq, decode_outcome(r)?));
         }
     }
     Ok(Snapshot {
@@ -762,6 +994,116 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
         tokens,
         token_watermark,
     })
+}
+
+/// Fold `delta` into `image`, the image it was written over. The
+/// delta's table list is authoritative (tables, watermarks and tokens
+/// all come from it); each table keeps the previous image's rows whose
+/// keys the delta does not mention, in their order, followed by the
+/// delta's rows. That is the full image's order, because every changed
+/// key's latest row was staged after every unchanged row.
+fn fold(image: &mut Snapshot, delta: Snapshot) {
+    let mut previous: HashMap<String, Vec<(u64, Vec<Scalar>)>> =
+        image.tables.drain(..).map(|t| (t.name, t.rows)).collect();
+    for mut t in delta.tables {
+        let mut rows = previous.remove(&t.name).unwrap_or_default();
+        if !t.rows.is_empty() || !t.removed.is_empty() {
+            let changed: HashSet<Cow<'_, str>> = t
+                .removed
+                .iter()
+                .map(|k| Cow::Borrowed(&**k))
+                .chain(t.rows.iter().map(|(_, values)| key_text(values)))
+                .collect();
+            rows.retain(|(_, values)| !changed.contains(&key_text(values)));
+            drop(changed);
+            rows.append(&mut t.rows);
+        }
+        t.rows = rows;
+        t.removed.clear();
+        image.tables.push(t);
+    }
+    image.tokens = delta.tokens;
+    image.token_watermark = delta.token_watermark;
+}
+
+/// What the checkpoint files on disk hold. Only a checkpoint (under
+/// the cache's checkpoint lock) or a follower's reset changes it.
+#[derive(Debug, Default)]
+struct Chain {
+    /// The base on disk and its table names, while a delta may still be
+    /// written over it. `None` makes the next checkpoint write a base:
+    /// there is none yet, or a checkpoint failed after its capture had
+    /// already taken the tables' change sets.
+    base: Option<(BaseId, Vec<String>)>,
+    /// Rows plus removals in the deltas written over the base.
+    entries: u64,
+    /// Number of the next delta file; never reused.
+    next_delta: u64,
+    /// Sizes of the last base and the last delta, which pre-size the
+    /// next encoding of each.
+    base_len: usize,
+    delta_len: usize,
+}
+
+/// The checkpoint image on disk, as files: the base and the deltas
+/// written over it, in order. A delta older than the base (a crash
+/// between a base's rename and the removal of the deltas before it)
+/// names another base and is left out; so is any `*.tmp` leftover.
+struct DiskImage {
+    base: Option<Vec<u8>>,
+    deltas: Vec<Vec<u8>>,
+    next_delta: u64,
+}
+
+impl DiskImage {
+    fn read(dir: &Path) -> Result<DiskImage> {
+        let path = dir.join(SNAPSHOT_FILE);
+        let base = if path.exists() {
+            Some(fs::read(&path)?)
+        } else {
+            None
+        };
+        let id = base.as_deref().and_then(BaseId::of);
+        let files = delta_files(dir)?;
+        let next_delta = files.last().map_or(1, |(n, _)| n + 1);
+        let mut deltas = Vec::new();
+        for (_, path) in files {
+            let bytes = fs::read(&path)?;
+            // The frame header, the version byte, then the base's id.
+            if id.is_some() && bytes.get(9..17).and_then(BaseId::of) == id {
+                deltas.push(bytes);
+            }
+        }
+        Ok(DiskImage {
+            base,
+            deltas,
+            next_delta,
+        })
+    }
+
+    /// The base with every delta folded in, in order, as one image —
+    /// what recovery installs and a replication bootstrap ships — plus
+    /// the chain a later checkpoint continues.
+    fn load(&self) -> Result<(Snapshot, Chain)> {
+        let mut chain = Chain {
+            next_delta: self.next_delta,
+            ..Chain::default()
+        };
+        let Some(base) = &self.base else {
+            return Ok((Snapshot::default(), chain));
+        };
+        let mut image = decode_snapshot(base)?;
+        let names = image.tables.iter().map(|t| t.name.clone()).collect();
+        for bytes in &self.deltas {
+            let (_, delta) = decode_delta(bytes)?;
+            chain.entries += delta.entries();
+            fold(&mut image, delta);
+        }
+        chain.base = BaseId::of(base).map(|id| (id, names));
+        chain.base_len = base.len();
+        chain.delta_len = self.deltas.last().map_or(0, Vec::len);
+        Ok((image, chain))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -843,7 +1185,10 @@ pub(crate) struct Wal {
     records: AtomicU64,
     syncs: AtomicU64,
     checkpoints: AtomicU64,
+    checkpoint_failures: AtomicU64,
     replayed: AtomicU64,
+    /// The checkpoint files on disk.
+    chain: Mutex<Chain>,
     /// Where sealed frames are shipped (the replication hub), when the
     /// cache serves a replication stream.
     sink: RwLock<Option<ReplSink>>,
@@ -866,19 +1211,13 @@ impl Wal {
     pub fn open(dir: &Path, checkpoint_every: u64, obs: Arc<Obs>) -> Result<(Wal, Recovery)> {
         fs::create_dir_all(dir)?;
 
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let snapshot = if snapshot_path.exists() {
-            decode_snapshot(&fs::read(&snapshot_path)?)?
-        } else {
-            Snapshot::default()
-        };
-        let watermarks: std::collections::HashMap<&str, u64> = snapshot
+        let (snapshot, chain) = DiskImage::read(dir)?.load()?;
+        let watermarks: HashMap<&str, u64> = snapshot
             .tables
             .iter()
             .map(|t| (t.name.as_str(), t.watermark))
             .collect();
-        let mut created: std::collections::HashSet<String> =
-            snapshot.tables.iter().map(|t| t.name.clone()).collect();
+        let mut created: HashSet<String> = snapshot.tables.iter().map(|t| t.name.clone()).collect();
 
         // Read every log file present, not just the live one: a rotated
         // log survives an interrupted checkpoint, and a directory
@@ -984,7 +1323,9 @@ impl Wal {
             records: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            checkpoint_failures: AtomicU64::new(0),
             replayed: AtomicU64::new(replayed),
+            chain: Mutex::new(chain),
             sink: RwLock::new(None),
             obs,
         };
@@ -1067,6 +1408,7 @@ impl Wal {
             records: self.records.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
         }
     }
@@ -1240,18 +1582,88 @@ impl Wal {
         fsync_dir(&self.dir)
     }
 
-    /// Checkpoint phase 2: persist the snapshot atomically (temp file,
-    /// fsync, rename, directory fsync).
-    pub fn write_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        let tmp = self.dir.join("snapshot.tmp");
-        let bytes = encode_snapshot(snapshot)?;
+    fn chain(&self) -> MutexGuard<'_, Chain> {
+        self.chain.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Whether a checkpoint about to capture `tables` (their names) may
+    /// write a delta, and if so how many rows plus removals the deltas
+    /// over the base already hold. `None` means it must write a base:
+    /// there is no base, a failure left the chain unknown, or a table
+    /// was created or dropped since the base.
+    pub fn delta_entries(&self, tables: &[&str]) -> Option<u64> {
+        let chain = self.chain();
+        let (_, names) = chain.base.as_ref()?;
+        (names.iter().map(String::as_str).eq(tables.iter().copied())).then_some(chain.entries)
+    }
+
+    /// Write `bytes` to `path` atomically: temp file, fsync, rename,
+    /// directory fsync.
+    fn persist(&self, bytes: &[u8], path: &Path) -> Result<()> {
+        let tmp = temp_path(&self.dir);
         let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        file.write_all(bytes)?;
         file.sync_all()?;
         drop(file);
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        fsync_dir(&self.dir)?;
+        fs::rename(&tmp, path)?;
+        fsync_dir(&self.dir)
+    }
+
+    /// Checkpoint phase 2, base: persist the whole image as
+    /// `snapshot.snap`, then remove every delta, which all belong to an
+    /// older base now. A crash between the two leaves deltas that name
+    /// the older base, and recovery leaves them out. Until the base has
+    /// landed no delta may be written: the caller has already made its
+    /// tables match this image, not the chain on disk.
+    pub fn write_base<R: SnapshotRow>(&self, snapshot: &Snapshot<R>) -> Result<()> {
+        let capacity = {
+            let mut chain = self.chain();
+            chain.base = None;
+            chain.base_len
+        };
+        let bytes = encode_snapshot(snapshot, capacity + capacity / 8)?;
+        self.persist(&bytes, &self.dir.join(SNAPSHOT_FILE))?;
+        for (_, path) in delta_files(&self.dir)? {
+            fs::remove_file(path)?;
+        }
+        let mut chain = self.chain();
+        chain.base = BaseId::of(&bytes)
+            .map(|id| (id, snapshot.tables.iter().map(|t| t.name.clone()).collect()));
+        chain.entries = 0;
+        chain.base_len = bytes.len();
         Ok(())
+    }
+
+    /// Checkpoint phase 2, delta: persist `delta` as the next
+    /// `delta-<n>.snap` over the current base. Callers checked
+    /// [`Wal::delta_entries`] under the same checkpoint lock.
+    pub fn write_delta<R: SnapshotRow>(&self, delta: &Snapshot<R>) -> Result<()> {
+        let (base, n, capacity) = {
+            let chain = self.chain();
+            let (base, _) = chain
+                .base
+                .as_ref()
+                .ok_or_else(|| Error::wal("no base image to write a delta over"))?;
+            (*base, chain.next_delta, chain.delta_len)
+        };
+        let bytes = encode_delta(delta, base, capacity + capacity / 8)?;
+        self.persist(&bytes, &delta_path(&self.dir, n))?;
+        let mut chain = self.chain();
+        chain.next_delta = n + 1;
+        chain.entries += delta.entries();
+        chain.delta_len = bytes.len();
+        Ok(())
+    }
+
+    /// A checkpoint failed. Its capture may have taken change sets the
+    /// disk never received, so the next checkpoint writes a base; and
+    /// the automatic threshold restarts, so a failing disk is retried
+    /// once per [`checkpoint_every`](crate::CacheBuilder::checkpoint_every)
+    /// records rather than on every commit.
+    pub fn checkpoint_failed(&self) {
+        self.chain().base = None;
+        self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+        self.records_since_checkpoint.store(0, Ordering::Relaxed);
     }
 
     /// Checkpoint phase 3: the snapshot is durable, so every log file
@@ -1273,8 +1685,11 @@ impl Wal {
     }
 
     /// Read everything durable on disk for a replication bootstrap: the
-    /// raw snapshot file (if any) and every complete framed record in
-    /// the log files, deduplicated and sorted by LSN.
+    /// checkpoint image (if any) and every complete framed record in
+    /// the log files, deduplicated and sorted by LSN. The image is the
+    /// base file as it stands when no delta was written over it, and
+    /// otherwise the base and its deltas folded into one base image —
+    /// the same image recovery installs.
     ///
     /// Callers hold the cache's checkpoint lock, so no rotation can
     /// delete or rename a log file mid-read. Records buffered in memory
@@ -1282,11 +1697,12 @@ impl Wal {
     /// shipped to the hub either, so a subscriber attached before this
     /// read receives them on the live stream instead.
     pub fn read_backlog(&self) -> Result<Backlog> {
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        let snapshot = if snapshot_path.exists() {
-            Some(fs::read(&snapshot_path)?)
+        let disk = DiskImage::read(&self.dir)?;
+        let snapshot = if disk.deltas.is_empty() {
+            disk.base
         } else {
-            None
+            let (image, chain) = disk.load()?;
+            Some(encode_snapshot(&image, chain.base_len)?)
         };
         let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
         for path in log_files(&self.dir)? {
@@ -1319,7 +1735,7 @@ impl Wal {
             fs::remove_file(rotated)?;
         }
         drop(state);
-        self.write_snapshot(snapshot)?;
+        self.write_base(snapshot)?;
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -1328,12 +1744,47 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time CRC the log format was defined with: the
+    /// oracle [`crc32`] must agree with bit for bit.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // A multiple of the sixteen-byte step, and one past it.
+        let text = b"The quick brown fox jumps over the lazy dog.....";
+        assert_eq!(text.len(), 48);
+        assert_eq!(crc32(text), crc32_bytewise(text));
+        assert_eq!(crc32(&text[..17]), crc32_bytewise(&text[..17]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slice-by-16 equals the bytewise CRC on every length from 0 to
+        /// 4096 and at every alignment of the input.
+        #[test]
+        fn slice_by_16_equals_the_bytewise_crc(
+            bytes in proptest::collection::vec(any::<u8>(), 0..4200),
+            offset in 0usize..64,
+            len in 0usize..=4096,
+        ) {
+            let start = offset.min(bytes.len());
+            let end = (start + len).min(bytes.len());
+            let slice = &bytes[start..end];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "offset {} len {}", start, end - start);
+        }
     }
 
     #[test]
@@ -1457,6 +1908,7 @@ mod tests {
                 columns: vec![("v".into(), AttrType::Int)],
                 watermark: 0,
                 rows: Vec::new(),
+                removed: Vec::new(),
             },
             SnapshotTable {
                 name: "BWUsage".into(),
@@ -1468,6 +1920,7 @@ mod tests {
                     (5, vec![Scalar::Str("a".into()), Scalar::Int(1)]),
                     (6, vec![Scalar::Str("b".into()), Scalar::Int(2)]),
                 ],
+                removed: Vec::new(),
             },
         ];
         let snapshot = Snapshot {
@@ -1484,7 +1937,7 @@ mod tests {
             ],
             token_watermark: 23,
         };
-        let bytes = encode_snapshot(&snapshot).unwrap();
+        let bytes = encode_snapshot(&snapshot, 0).unwrap();
         assert_eq!(decode_snapshot(&bytes).unwrap(), snapshot);
         // The header-only watermark scan agrees with the full decode —
         // and includes the token watermark, which here exceeds every
@@ -1494,6 +1947,134 @@ mod tests {
         // A torn snapshot is rejected outright.
         assert!(decode_snapshot(&bytes[..bytes.len() - 1]).is_err());
         assert!(scan_snapshot_high_watermark(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    /// A base as the byte-at-a-time encoder with a separate framing
+    /// copy wrote it, for the image below: the v2 format, pinned.
+    const GOLDEN_BASE: &str = "d300000088bf21370202000000010000005300100000000000000001000000010000007402010000000000000000000000020000004b5601000000000000000004000000010000006b0401000000760001000000720101000000620309000000000000000200000005000000000000000400000004010000006100ffffffffffffffff01000000000000e03f0301070000000000000004000000040200000062620002000000000000000100000000000000c003000800000000000000010000000300000000000000040000000000000001010700000000000000";
+
+    #[test]
+    fn a_single_pass_base_is_the_v2_format_byte_for_byte() {
+        let columns = vec![
+            ("k".to_string(), AttrType::Str),
+            ("v".to_string(), AttrType::Int),
+            ("r".to_string(), AttrType::Real),
+            ("b".to_string(), AttrType::Bool),
+        ];
+        let schema = Arc::new(gapl::event::Schema::new("KV", columns.clone()).unwrap());
+        let tuple = |tstamp, values| Tuple::new(Arc::clone(&schema), values, tstamp).unwrap();
+        // Shaped like a capture: the rows are the table's own tuples.
+        let captured = Snapshot {
+            tables: vec![
+                SnapshotTable {
+                    name: "S".into(),
+                    kind: TableKind::Ephemeral,
+                    capacity: 16,
+                    columns: vec![("t".into(), AttrType::Tstamp)],
+                    watermark: 1,
+                    rows: Vec::new(),
+                    removed: Vec::new(),
+                },
+                SnapshotTable {
+                    name: "KV".into(),
+                    kind: TableKind::Persistent,
+                    capacity: 0,
+                    columns,
+                    watermark: 9,
+                    rows: vec![
+                        tuple(
+                            5,
+                            vec![
+                                Scalar::Str("a".into()),
+                                Scalar::Int(-1),
+                                Scalar::Real(0.5),
+                                Scalar::Bool(true),
+                            ],
+                        ),
+                        tuple(
+                            7,
+                            vec![
+                                Scalar::Str("bb".into()),
+                                Scalar::Int(2),
+                                Scalar::Real(-2.0),
+                                Scalar::Bool(false),
+                            ],
+                        ),
+                    ],
+                    removed: Vec::new(),
+                },
+            ],
+            tokens: vec![(
+                3,
+                4,
+                TokenOutcome::Inserted {
+                    replaced: true,
+                    tstamp: 7,
+                },
+            )],
+            token_watermark: 8,
+        };
+        // The starting capacity never changes the bytes.
+        for capacity in [0, 9, 1 << 16] {
+            let bytes = encode_snapshot(&captured, capacity).unwrap();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, GOLDEN_BASE, "capacity {capacity}");
+            let decoded = decode_snapshot(&bytes).unwrap();
+            assert_eq!(encode_snapshot(&decoded, 0).unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn a_delta_folds_over_the_image_it_was_written_over() {
+        let table = |rows: Vec<(u64, &str, i64)>, removed: Vec<&str>, watermark| SnapshotTable {
+            name: "KV".into(),
+            kind: TableKind::Persistent,
+            capacity: 0,
+            columns: vec![("k".into(), AttrType::Str), ("v".into(), AttrType::Int)],
+            watermark,
+            rows: rows
+                .into_iter()
+                .map(|(t, k, v)| (t, vec![Scalar::Str(k.into()), Scalar::Int(v)]))
+                .collect(),
+            removed: removed.into_iter().map(Arc::from).collect(),
+        };
+        let base = Snapshot {
+            tables: vec![table(
+                vec![(1, "a", 1), (2, "b", 2), (3, "c", 3)],
+                vec![],
+                5,
+            )],
+            tokens: Vec::new(),
+            token_watermark: 0,
+        };
+        let base_bytes = encode_snapshot(&base, 0).unwrap();
+        // `a` changed, `b` removed, `d` new; `c` untouched.
+        let delta = Snapshot {
+            tables: vec![table(vec![(4, "a", 10), (5, "d", 4)], vec!["b"], 8)],
+            tokens: vec![(1, 1, TokenOutcome::Created)],
+            token_watermark: 7,
+        };
+        let id = BaseId::of(&base_bytes).unwrap();
+        let delta_bytes = encode_delta(&delta, id, 0).unwrap();
+        // A delta never decodes as a base.
+        assert!(decode_snapshot(&delta_bytes).is_err());
+        let (of, decoded) = decode_delta(&delta_bytes).unwrap();
+        assert_eq!((of, &decoded), (id, &delta));
+        assert_eq!(delta.entries(), 3);
+        let mut image = decode_snapshot(&base_bytes).unwrap();
+        fold(&mut image, decoded);
+        assert_eq!(
+            image,
+            Snapshot {
+                tables: vec![table(
+                    vec![(3, "c", 3), (4, "a", 10), (5, "d", 4)],
+                    vec![],
+                    8
+                )],
+                tokens: vec![(1, 1, TokenOutcome::Created)],
+                token_watermark: 7,
+            }
+        );
     }
 
     #[test]

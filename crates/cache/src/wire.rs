@@ -13,7 +13,7 @@
 //! RPC crate re-exports it unchanged, so a scalar on the wire and a
 //! scalar in the log are byte-identical.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use gapl::event::Scalar;
 
@@ -22,56 +22,94 @@ use crate::error::{Error, Result};
 /// Serialises values into a growable byte buffer.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
     /// An empty writer.
     pub fn new() -> Self {
+        Self::with_capacity(128)
+    }
+
+    /// An empty writer that holds `capacity` bytes before it grows —
+    /// how a large encoding sized from a previous one is written
+    /// without reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(128),
+            buf: Vec::with_capacity(capacity),
         }
+    }
+
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Overwrite the four already-written bytes at `at` with `v`,
+    /// little-endian: how a length or checksum prefix is filled in once
+    /// the bytes it describes follow it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at + 4` is past the bytes written so far.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Finish writing and return the encoded bytes.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
+    }
+
+    /// Finish writing and return the encoded bytes as a vector.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Append a single byte tag.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `i64`.
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bits.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
+        self.put_u64(v.to_bits());
     }
 
     /// Append a bool as one byte.
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.put_u8(u8::from(v));
+        self.buf.push(u8::from(v));
     }
 
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_u32(v.len() as u32);
-        self.buf.put_slice(v.as_bytes());
+        self.buf.extend_from_slice(v.as_bytes());
     }
 
     /// Append a [`Scalar`] (tag + payload).

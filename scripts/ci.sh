@@ -132,6 +132,7 @@ EOF
 REPEATS=10
 REPEAT_SUITES='
 --test rpc_chaos
+--test checkpoint_race
 --test notification_delivery
 --test protection_chaos
 --test fanout_stress
@@ -139,8 +140,8 @@ REPEAT_SUITES='
 '
 
 stage_repeat() {
-    cargo test --release -q --no-run --test rpc_chaos --test notification_delivery \
-        --test protection_chaos --test fanout_stress
+    cargo test --release -q --no-run --test rpc_chaos --test checkpoint_race \
+        --test notification_delivery --test protection_chaos --test fanout_stress
     cargo test --release -q --no-run -p psrpc --lib
     failed=0
     while read -r suite; do

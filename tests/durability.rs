@@ -683,6 +683,289 @@ fn checkpointing_a_clean_log_issues_no_fsync() {
 }
 
 // ---------------------------------------------------------------------------
+// Incremental checkpoints: a base image plus the deltas written over it.
+// ---------------------------------------------------------------------------
+
+/// The `delta-<n>.snap` files in `dir`, by name.
+fn deltas_in(dir: &Path) -> Vec<String> {
+    files_in(dir)
+        .into_iter()
+        .filter(|n| n.starts_with("delta-") && n.ends_with(".snap"))
+        .collect()
+}
+
+/// Copy `dir` as it stands into a fresh scratch directory: the disk a
+/// crash at this instant leaves behind.
+fn crash_copy(dir: &Path, name: &str) -> PathBuf {
+    let copy = scratch(name);
+    fs::create_dir_all(&copy).unwrap();
+    for name in files_in(dir) {
+        fs::copy(dir.join(&name), copy.join(&name)).unwrap();
+    }
+    copy
+}
+
+fn kv(k: &str, v: i64) -> Vec<Scalar> {
+    vec![Scalar::Str(k.into()), Scalar::Int(v)]
+}
+
+/// A durable `KV` table of rows `a..e`, checkpointed into a base.
+fn kv_with_a_base(dir: &Path) -> Cache {
+    let cache = CacheBuilder::new()
+        .durability(dir)
+        .checkpoint_every(0)
+        .open()
+        .unwrap();
+    cache
+        .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+        .unwrap();
+    for (i, k) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+        cache.insert("KV", kv(k, i as i64)).unwrap();
+    }
+    cache.checkpoint().unwrap();
+    assert!(deltas_in(dir).is_empty(), "the first checkpoint is a base");
+    cache
+}
+
+/// Keys changed by *replay* — not by a live write — must reach the
+/// next delta, since that delta's checkpoint retires the log they were
+/// replayed from. The pattern of
+/// `a_checkpoint_due_at_open_snapshots_the_recovered_rows`, one
+/// checkpoint later in the chain.
+#[test]
+fn a_delta_after_recovery_covers_the_keys_replay_changed() {
+    let dir = scratch("delta-after-replay");
+    drop(kv_with_a_base(&dir));
+    {
+        let cache = CacheBuilder::new()
+            .durability(&dir)
+            .checkpoint_every(0)
+            .open()
+            .unwrap();
+        cache.upsert("KV", kv("b", 20)).unwrap();
+        cache.insert("KV", kv("f", 5)).unwrap();
+        cache.remove("KV", "c").unwrap();
+    }
+    // These three changes live only in the log. Replay applies them.
+    let cache = CacheBuilder::new()
+        .durability(&dir)
+        .checkpoint_every(0)
+        .open()
+        .unwrap();
+    assert_eq!(cache.wal_stats().unwrap().replayed, 3);
+    let before = dump(&cache, "KV");
+    cache.checkpoint().unwrap();
+    assert_eq!(deltas_in(&dir), ["delta-1.snap"]);
+    // Crash right here: the rotated log is gone, so only the delta can
+    // carry the replayed changes.
+    let crashed = crash_copy(&dir, "delta-after-replay-crashed");
+    drop(cache);
+    let recovered = Cache::recover(&crashed).unwrap();
+    assert_eq!(recovered.wal_stats().unwrap().replayed, 0);
+    assert_eq!(dump(&recovered, "KV"), before);
+    drop(recovered);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&crashed);
+}
+
+/// A checkpoint that crashed before its rename leaves its image in
+/// `snapshot.tmp`; recovery never reads that file.
+#[test]
+fn a_leftover_temp_image_is_ignored() {
+    let dir = scratch("leftover-tmp");
+    let cache = kv_with_a_base(&dir);
+    cache.upsert("KV", kv("a", 10)).unwrap();
+    cache.checkpoint().unwrap();
+    cache.remove("KV", "b").unwrap();
+    let before = dump(&cache, "KV");
+    drop(cache);
+    fs::write(dir.join("snapshot.tmp"), b"half an image").unwrap();
+    let cache = Cache::recover(&dir).unwrap();
+    assert_eq!(dump(&cache, "KV"), before);
+    // The next checkpoint writes over the leftover.
+    cache.upsert("KV", kv("c", 30)).unwrap();
+    cache.checkpoint().unwrap();
+    let after = dump(&cache, "KV");
+    drop(cache);
+    assert!(!dir.join("snapshot.tmp").exists());
+    assert_eq!(dump(&Cache::recover(&dir).unwrap(), "KV"), after);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A base removes the deltas before it only after its own rename, so a
+/// crash between the two leaves deltas older than the base. Folding one
+/// in would bring back what the base already superseded.
+#[test]
+fn a_delta_older_than_the_base_is_ignored() {
+    let dir = scratch("stale-delta");
+    let cache = kv_with_a_base(&dir);
+    cache.upsert("KV", kv("a", 10)).unwrap();
+    cache.checkpoint().unwrap();
+    assert_eq!(deltas_in(&dir), ["delta-1.snap"]);
+    let stale = fs::read(dir.join("delta-1.snap")).unwrap();
+    // `a` goes away, and a new table makes the next checkpoint a base.
+    cache.remove("KV", "a").unwrap();
+    cache.upsert("KV", kv("b", 20)).unwrap();
+    cache
+        .execute("create persistenttable T (k varchar(8) primary key, v integer)")
+        .unwrap();
+    cache.checkpoint().unwrap();
+    assert!(
+        deltas_in(&dir).is_empty(),
+        "a base removes the deltas before it"
+    );
+    let before = dump(&cache, "KV");
+    drop(cache);
+    fs::write(dir.join("delta-1.snap"), &stale).unwrap();
+
+    let cache = Cache::recover(&dir).unwrap();
+    assert!(cache.lookup("KV", "a").unwrap().is_none());
+    assert_eq!(dump(&cache, "KV"), before);
+    // The chain goes on over the new base without reusing the stale
+    // delta's number.
+    cache.upsert("KV", kv("c", 30)).unwrap();
+    cache.checkpoint().unwrap();
+    assert_eq!(deltas_in(&dir), ["delta-1.snap", "delta-2.snap"]);
+    let after = dump(&cache, "KV");
+    drop(cache);
+    assert_eq!(dump(&Cache::recover(&dir).unwrap(), "KV"), after);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash after a delta's rename but before the rotated log it covers
+/// is removed: the log's records replay against the folded watermarks,
+/// which skip every one the delta holds. The history uses plain inserts,
+/// so applying one twice would fail recovery outright.
+#[test]
+fn a_crash_between_a_delta_and_the_log_removal_recovers_exactly() {
+    let dir = scratch("delta-then-crash");
+    let cache = kv_with_a_base(&dir);
+    for k in ["f", "g", "h"] {
+        cache.insert("KV", kv(k, 7)).unwrap();
+    }
+    cache.remove("KV", "a").unwrap();
+    let covered = fs::read(log_path(&dir)).unwrap();
+    assert_eq!(count_complete_records(&covered), 4);
+    cache.checkpoint().unwrap();
+    assert_eq!(deltas_in(&dir), ["delta-1.snap"]);
+    cache.insert("KV", kv("i", 8)).unwrap();
+    let before = dump(&cache, "KV");
+    drop(cache);
+    // Put the rotated log back, as if the checkpoint died before
+    // removing it.
+    fs::write(dir.join("wal-000.log.1"), &covered).unwrap();
+
+    let cache = Cache::recover(&dir).unwrap();
+    assert_eq!(dump(&cache, "KV"), before);
+    assert!(
+        !dir.join("wal-000.log.1").exists(),
+        "opening completes the checkpoint"
+    );
+    drop(cache);
+    assert_eq!(dump(&Cache::recover(&dir).unwrap(), "KV"), before);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A delta holds what changed, not the table: 1,000 upserts over 100
+/// keys of a 50,000-row table write 100 rows.
+#[test]
+fn a_delta_is_sized_by_the_keys_that_changed() {
+    let dir = scratch("delta-size");
+    let cache = CacheBuilder::new()
+        .durability(&dir)
+        .checkpoint_every(0)
+        .open()
+        .unwrap();
+    cache
+        .execute("create persistenttable Hosts (k varchar(16) primary key, v integer)")
+        .unwrap();
+    for chunk in 0..50 {
+        let rows = (0..1000)
+            .map(|i| kv(&format!("host{}", chunk * 1000 + i), i))
+            .collect();
+        cache.upsert_batch("Hosts", rows).unwrap();
+    }
+    cache.checkpoint().unwrap();
+    let base = fs::metadata(dir.join("snapshot.snap")).unwrap().len();
+    for batch in 0..100i64 {
+        let rows = (0..10)
+            .map(|i| kv(&format!("host{}", (batch * 10 + i) % 100 * 500), i))
+            .collect();
+        cache.upsert_batch("Hosts", rows).unwrap();
+    }
+    cache.checkpoint().unwrap();
+    assert_eq!(deltas_in(&dir), ["delta-1.snap"]);
+    let delta = fs::metadata(dir.join("delta-1.snap")).unwrap().len();
+    assert!(
+        delta * 100 < base,
+        "delta {delta} bytes is not under 1% of the {base}-byte base"
+    );
+    let before = dump(&cache, "Hosts");
+    drop(cache);
+    assert_eq!(dump(&Cache::recover(&dir).unwrap(), "Hosts"), before);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An automatic checkpoint that fails is counted, and is retried only
+/// after another `checkpoint_every` records, not on every commit. A
+/// directory squatting on the image's temp-file name makes the write
+/// fail.
+#[test]
+fn a_failed_checkpoint_is_counted_once_and_retried_after_the_next_threshold() {
+    let dir = scratch("failed-checkpoint");
+    let cache = CacheBuilder::new()
+        .durability(&dir)
+        .checkpoint_every(20)
+        .open()
+        .unwrap();
+    // Records so far: the Timer's create and this one.
+    cache
+        .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+        .unwrap();
+    let obstacle = dir.join("snapshot.tmp");
+    fs::create_dir(&obstacle).unwrap();
+    let failures = |cache: &Cache| {
+        let stats = cache.wal_stats().unwrap();
+        assert_eq!(
+            cache.metrics().counter("wal_checkpoint_failures"),
+            Some(stats.checkpoint_failures)
+        );
+        stats.checkpoint_failures
+    };
+    // The 20th record trips the threshold; the checkpoint fails, and the
+    // write that tripped it still succeeds.
+    for i in 0..18i64 {
+        cache.upsert("KV", kv(&format!("k{i}"), i)).unwrap();
+    }
+    assert_eq!(failures(&cache), 1);
+    // 19 more commits do not retry it.
+    for i in 0..19i64 {
+        cache
+            .upsert("KV", kv(&format!("k{}", i % 5), 100 + i))
+            .unwrap();
+    }
+    assert_eq!(failures(&cache), 1);
+    assert_eq!(cache.wal_stats().unwrap().checkpoints, 0);
+    // With the obstacle gone, the next threshold checkpoints.
+    fs::remove_dir(&obstacle).unwrap();
+    cache.upsert("KV", kv("last", 1)).unwrap();
+    assert_eq!(cache.wal_stats().unwrap().checkpoints, 1);
+    assert_eq!(failures(&cache), 1);
+    assert_eq!(files_in(&dir), ["snapshot.snap", "wal-000.log"]);
+    let before = dump(&cache, "KV");
+    drop(cache);
+    let cache = Cache::recover(&dir).unwrap();
+    assert_eq!(
+        cache.wal_stats().unwrap().replayed,
+        0,
+        "the checkpoint retired every record"
+    );
+    assert_eq!(dump(&cache, "KV"), before);
+    drop(cache);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // One log, one sequence: file order = LSN order, under concurrency.
 // ---------------------------------------------------------------------------
 

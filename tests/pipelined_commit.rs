@@ -35,7 +35,7 @@ use psrpc::client::CacheClient;
 use psrpc::framing;
 use psrpc::message::{CacheReply, ClientMessage, Request, ServerMessage};
 use psrpc::reactor::ReactorServer;
-use support::OracleServer;
+use support::{next_frame_bytes, OracleServer};
 
 const KV: &str = "create persistenttable KV (k varchar(16) primary key, v integer)";
 const STREAM: &str = "create table S (v integer)";
@@ -106,13 +106,6 @@ fn send_pipelined(stream: &mut TcpStream, script: &[(Option<(u64, u64)>, Request
     stream.write_all(&frame(1, script)).unwrap();
 }
 
-/// The next logical message, as the bytes the socket carried.
-fn next_frame(stream: &mut TcpStream) -> Vec<u8> {
-    framing::read_message(stream)
-        .unwrap()
-        .expect("the server closed the connection")
-}
-
 fn decode_reply(bytes: &[u8]) -> (u64, CacheReply) {
     match ServerMessage::decode(bytes).unwrap() {
         ServerMessage::Reply { seq, reply } => (seq, reply),
@@ -131,11 +124,11 @@ fn on_both_servers(
     on_reply: impl Fn(&str, &Cache, usize),
 ) -> (Vec<CacheReply>, Cache, ReactorServer, PathBuf) {
     let run = |flavour: &str, cache: &Cache, addr: SocketAddr| -> Vec<Vec<u8>> {
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = support::connect(addr);
         send_pipelined(&mut stream, script);
         (0..script.len())
             .map(|i| {
-                let bytes = next_frame(&mut stream);
+                let bytes = next_frame_bytes(&mut stream);
                 on_reply(flavour, cache, i);
                 bytes
             })
@@ -430,7 +423,7 @@ fn an_eviction_mid_run_commits_the_run_and_returns_its_in_flight_slots() {
     let server = ReactorServer::bind(cache.clone(), "127.0.0.1:0").unwrap();
     let logged_before = cache.wal_stats().unwrap().records;
 
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut raw = support::connect(server.local_addr());
     send_pipelined(
         &mut raw,
         &[(
@@ -441,7 +434,7 @@ fn an_eviction_mid_run_commits_the_run_and_returns_its_in_flight_slots() {
         )],
     );
     assert!(matches!(
-        decode_reply(&next_frame(&mut raw)).1,
+        decode_reply(&next_frame_bytes(&mut raw)).1,
         CacheReply::Registered { .. }
     ));
     // ~12 MB of its own notifications against a 4 KB outbox bound, and

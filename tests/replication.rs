@@ -260,6 +260,63 @@ fn a_late_follower_bootstraps_from_the_checkpoint_not_log_zero() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A primary whose checkpoint image is a base plus deltas ships it
+/// folded into one snapshot: the follower, its protocol and its applier
+/// see what they saw before deltas existed.
+#[test]
+fn a_late_follower_bootstraps_from_a_base_and_its_deltas() {
+    let dir = scratch("bootstrap-deltas");
+    let follower_dir = scratch("bootstrap-deltas-follower");
+    let primary = CacheBuilder::new()
+        .durability(&dir)
+        .checkpoint_every(0)
+        .replicate_to("127.0.0.1:0")
+        .open()
+        .unwrap();
+    let addr = primary.repl_addr().unwrap().to_string();
+    primary
+        .execute("create persistenttable KV (k varchar(16) primary key, v integer)")
+        .unwrap();
+    let row = |k: i64, v: i64| vec![Scalar::Str(format!("k{k}").into()), Scalar::Int(v)];
+    primary
+        .upsert_batch("KV", (0..50).map(|k| row(k, 0)).collect())
+        .unwrap();
+    primary.checkpoint().unwrap();
+    for round in 1..=2i64 {
+        for k in 0..5 {
+            primary.upsert("KV", row(k * round, round)).unwrap();
+        }
+        primary.remove("KV", &format!("k{}", 40 + round)).unwrap();
+        primary.checkpoint().unwrap();
+    }
+    assert!(
+        dir.join("delta-2.snap").exists(),
+        "two deltas over the base"
+    );
+    primary.upsert("KV", row(99, 9)).unwrap();
+
+    let follower = CacheBuilder::new()
+        .durability(&follower_dir)
+        .follow(&addr)
+        .open()
+        .unwrap();
+    converge(&primary, &follower, Duration::from_secs(10));
+    let expected = dump(&primary, "KV");
+    assert_eq!(dump(&follower, "KV"), expected);
+    assert_eq!(follower.repl_stats().snapshots_loaded, 1);
+    follower.shutdown();
+    drop(follower);
+    // The follower wrote the shipped image as its own base.
+    assert_eq!(
+        dump(&Cache::recover(&follower_dir).unwrap(), "KV"),
+        expected
+    );
+
+    primary.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&follower_dir);
+}
+
 #[test]
 fn the_staleness_watermark_is_monotone_and_converges_to_zero() {
     let dir = scratch("staleness");

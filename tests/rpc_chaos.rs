@@ -32,7 +32,10 @@ use psrpc::{framing, Error};
 use unipubsub::prelude::*;
 
 /// A reader that trickles: at most one byte per `read` call, with a
-/// periodic stall — the slowest client the transport can express.
+/// periodic stall — the slowest client the transport can express. A
+/// read timeout on the inner stream is reported as an error, which
+/// `framing::read_message` does not wait through, so a lost reply
+/// fails the test instead of stalling the suite.
 struct OneByteReader<R> {
     inner: R,
     bytes: usize,
@@ -45,7 +48,14 @@ impl<R: Read> Read for OneByteReader<R> {
         }
         self.bytes += 1;
         let len = 1.min(buf.len());
-        self.inner.read(&mut buf[..len])
+        self.inner
+            .read(&mut buf[..len])
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                    std::io::Error::other("no byte within the stream's read timeout")
+                }
+                _ => e,
+            })
     }
 }
 
@@ -82,6 +92,7 @@ fn a_slow_reader_cannot_stall_other_connections() {
     // The slow reader asks for all of it, then drains the multi-
     // fragment reply one byte at a time.
     let raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let msg = ClientMessage {
         seq: 1,
         token: None,

@@ -48,10 +48,15 @@ pub fn send(stream: &mut TcpStream, seq: u64, request: Request) {
 /// error: a reply the server loses fails the test by name instead of
 /// stalling the suite.
 pub fn next_frame(stream: &mut TcpStream) -> ServerMessage {
-    let bytes = framing::read_message(&mut Impatient(stream))
+    ServerMessage::decode(&next_frame_bytes(stream)).unwrap()
+}
+
+/// [`next_frame`] before decoding: the message's bytes as the socket
+/// carried them, under the same read timeout.
+pub fn next_frame_bytes(stream: &mut TcpStream) -> Vec<u8> {
+    framing::read_message(&mut Impatient(stream))
         .unwrap()
-        .expect("the server closed the connection");
-    ServerMessage::decode(&bytes).unwrap()
+        .expect("the server closed the connection")
 }
 
 /// A reader that reports a read timeout as a plain error, which
