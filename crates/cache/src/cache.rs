@@ -2659,7 +2659,7 @@ impl CacheInner {
     /// batch, not per record) before acknowledging. Returns the new
     /// applied watermark.
     pub(crate) fn repl_apply_frames(&self, bytes: &[u8]) -> Result<u64> {
-        let (payloads, consumed) = wal::scan_frames(bytes);
+        let (frames, consumed) = wal::scan_frames(bytes);
         if consumed < bytes.len() {
             return Err(Error::repl(
                 "torn or corrupt frame in the replication stream",
@@ -2667,8 +2667,8 @@ impl CacheInner {
         }
         let mut hi = self.repl_applied_lsn.load(Ordering::Acquire);
         let mut appended = None;
-        for payload in payloads {
-            let op = wal::decode_record(payload)?;
+        for frame in frames {
+            let op = wal::decode_record(wal::frame_payload(frame))?;
             let lsn = op.lsn();
             if lsn <= self.repl_applied_lsn.load(Ordering::Acquire) {
                 // Redelivery across a reconnect boundary: already applied.
@@ -2686,7 +2686,7 @@ impl CacheInner {
             // followers. Recovery dedups replayed creates, so the
             // duplicate-looking record is harmless there.
             if let Some(wal) = &self.wal {
-                wal.append_frame(lsn, &wal::frame(payload))?;
+                wal.append_frame(lsn, frame)?;
                 appended = Some(lsn);
             }
             hi = hi.max(lsn);

@@ -364,3 +364,65 @@ fn folded_deltas_equal_a_full_capture_and_recover_the_model() {
         tally.bases
     );
 }
+
+/// With checkpoints left to the application, a workload that inserts
+/// and removes fresh keys touches ever more keys while the table stays
+/// the same size. Its change set stops growing once it holds more keys
+/// than the table holds rows, and the next checkpoint writes a base that
+/// recovers exactly.
+#[test]
+fn a_change_set_never_outgrows_its_table() {
+    let dir = scratch("change-set-bound");
+    let copy = scratch("change-set-bound-copy");
+    let cache = CacheBuilder::new()
+        .durability(&dir)
+        .checkpoint_every(0)
+        .manual_clock()
+        .open()
+        .unwrap();
+    cache
+        .execute("create persistenttable A (k varchar(8) primary key, v integer)")
+        .unwrap();
+    let mut model = Model::default();
+    model.tables.insert("A".to_owned(), Vec::new());
+    let rows: Vec<Vec<Scalar>> = (0..100).map(|k| row(k, 0)).collect();
+    let tstamps = cache.upsert_batch("A", rows.clone()).unwrap();
+    for (values, tstamp) in rows.into_iter().zip(tstamps) {
+        model.upsert("A", values, tstamp);
+    }
+    let mut tally = Tally::default();
+    checkpoint(&cache, &dir, &copy, &model, &mut tally);
+    let table = cache.inner.tables.get("A").unwrap();
+    let held = || {
+        let guard = table.lock();
+        (guard.change_set_len(), guard.len())
+    };
+    assert_eq!(held(), (Some(0), 100));
+    let mut dropped = false;
+    for round in 0..100u32 {
+        // 100 fresh keys in one batch, then each removed on its own.
+        let fresh: Vec<Vec<Scalar>> = (0..100)
+            .map(|i| vec![Scalar::Str(format!("f{round}-{i}").into()), Scalar::Int(1)])
+            .collect();
+        cache.upsert_batch("A", fresh.clone()).unwrap();
+        for values in &fresh {
+            cache.remove("A", &key_text(values)).unwrap();
+            let (change_set, rows) = held();
+            match change_set {
+                Some(keys) => assert!(keys <= rows + 1, "{keys} keys changed, {rows} rows"),
+                None => dropped = true,
+            }
+        }
+        // An update of a key the base holds, for the next image to carry.
+        let tstamp = cache.upsert("A", row(round, 1)).unwrap();
+        model.upsert("A", row(round, 1), tstamp);
+    }
+    assert!(dropped, "the change set was never dropped");
+    assert_eq!(held(), (None, 100));
+    checkpoint(&cache, &dir, &copy, &model, &mut tally);
+    assert_eq!((tally.bases, tally.deltas), (2, 0));
+    assert_eq!(held(), (Some(0), 100));
+    drop(cache);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&copy);
+}

@@ -270,7 +270,7 @@ fn publish_frames(cache: &Arc<CacheInner>, shared: &Arc<PeerShared>, bytes: &[u8
             tstamp,
             rows,
             ..
-        }) = wal::decode_record(&frame[8..])
+        }) = wal::decode_record(wal::frame_payload(frame))
         {
             if !table.starts_with('\u{1}') && table != TIMER_TOPIC {
                 let published = cache.publish_remote(&table, &rows, tstamp);

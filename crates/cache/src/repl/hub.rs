@@ -201,11 +201,12 @@ mod tests {
         // and the batches tile the sequence: (0, 1], (1, 3].
         let mut commit = at;
         for (hi, bytes) in rx.try_iter() {
-            let (payloads, consumed) = wal::scan_frames(&bytes);
+            let (frames, consumed) = wal::scan_frames(&bytes);
             assert_eq!(consumed, bytes.len());
-            for payload in payloads {
+            for frame in frames {
                 commit += 1;
-                assert_eq!(wal::decode_record(payload).unwrap().lsn(), commit);
+                let op = wal::decode_record(wal::frame_payload(frame)).unwrap();
+                assert_eq!(op.lsn(), commit);
             }
             assert_eq!(hi, commit);
         }

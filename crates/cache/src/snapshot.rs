@@ -291,22 +291,24 @@ impl TableSnapshot {
 
     /// A compacted generation holding exactly `rows` (already in log
     /// order, all live), rebased to start at `base`. Used when stale
-    /// entries outnumber live ones.
+    /// entries outnumber live ones; the rows go straight into chunk
+    /// slots as `rows` yields them.
     pub(crate) fn rebuilt(
         schema: Arc<Schema>,
         kind: TableKind,
         base: u64,
-        rows: Vec<RowEntry>,
+        rows: impl IntoIterator<Item = RowEntry>,
     ) -> TableSnapshot {
-        let n = rows.len() as u64;
-        let mut chunks = Vec::with_capacity(rows.len() / CHUNK + 1);
+        let mut chunks = Vec::new();
         let mut chunk = Chunk::new();
-        for (i, row) in rows.into_iter().enumerate() {
-            if i > 0 && i % CHUNK == 0 {
+        let mut n = 0usize;
+        for row in rows {
+            if n > 0 && n.is_multiple_of(CHUNK) {
                 chunks.push(Arc::new(std::mem::replace(&mut chunk, Chunk::new())));
             }
-            let ok = chunk.slots[i % CHUNK].set(row).is_ok();
+            let ok = chunk.slots[n % CHUNK].set(row).is_ok();
             debug_assert!(ok);
+            n += 1;
         }
         chunks.push(Arc::new(chunk));
         TableSnapshot {
@@ -314,7 +316,7 @@ impl TableSnapshot {
             kind,
             base,
             chunks,
-            visible: AtomicU64::new(base + n),
+            visible: AtomicU64::new(base + n as u64),
             start: AtomicU64::new(base),
         }
     }

@@ -53,6 +53,11 @@ pub const DEFAULT_STREAM_CAPACITY: usize = 65_536;
 /// compaction kicks in.
 const COMPACT_MIN_LOG: usize = 64;
 
+/// Staged operations a persistent table's drained staging queue (and
+/// its index) may keep capacity for; a queue that held more, such as
+/// one huge batch, gives its memory back when it drains.
+const STAGING_RETAIN: usize = 8192;
+
 /// Whether a table is an append-only stream or a keyed relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableKind {
@@ -269,6 +274,16 @@ impl Table {
     pub(crate) fn mark_checkpointed(&mut self) {
         if let Table::Persistent(t) = self {
             t.dirty = Some(HashSet::new());
+        }
+    }
+
+    /// How many keys the change set holds; `None` while none is
+    /// recorded (and always for a stream).
+    #[cfg(test)]
+    pub(crate) fn change_set_len(&self) -> Option<usize> {
+        match self {
+            Table::Ephemeral(_) => None,
+            Table::Persistent(t) => t.dirty.as_ref().map(HashSet::len),
         }
     }
 
@@ -520,8 +535,13 @@ pub struct PersistentTable {
     /// Next absolute log index to stage.
     tail: u64,
     /// Staged-but-uncommitted key-map deltas, in staging (= index)
-    /// order.
+    /// order. Their indices are consecutive: every slot staged since
+    /// the last commit has one.
     pending: Vec<PendingOp>,
+    /// Every key with a staged operation, mapped to the log index of
+    /// its newest one: a staging-time lookup is one probe here however
+    /// long `pending` is.
+    staged: HashMap<Arc<str>, u64>,
     /// Stale (superseded or tombstone) entries in the visible log.
     stale: usize,
     /// See [`EphemeralTable::last_tstamp`].
@@ -549,6 +569,7 @@ impl PersistentTable {
             cur,
             tail: 0,
             pending: Vec::new(),
+            staged: HashMap::new(),
             stale: 0,
             last_tstamp: 0,
             wal_watermark: 0,
@@ -556,20 +577,27 @@ impl PersistentTable {
         }
     }
 
+    /// The newest staged operation on `key`: `Some(Some(row))` for a
+    /// put, `Some(None)` for a removal, `None` when nothing is staged
+    /// for the key.
+    fn staged_op(&self, key: &str) -> Option<Option<(u64, &Tuple)>> {
+        let &idx = self.staged.get(key)?;
+        let op = &self.pending[(idx - self.pending[0].idx()) as usize];
+        debug_assert_eq!(op.idx(), idx, "pending indices are consecutive");
+        Some(match op {
+            PendingOp::Put { tuple, .. } => Some((idx, tuple)),
+            PendingOp::Del { .. } => None,
+        })
+    }
+
     /// The live row for `key` as *this writer* will observe it once
     /// everything staged so far commits: the newest staged operation
     /// for the key wins, falling back to the committed map.
     fn effective_get(&self, key: &str) -> Option<(u64, Tuple)> {
-        for op in self.pending.iter().rev() {
-            match op {
-                PendingOp::Put {
-                    idx, key: k, tuple, ..
-                } if &**k == key => return Some((*idx, tuple.clone())),
-                PendingOp::Del { key: k, .. } if &**k == key => return None,
-                _ => {}
-            }
+        match self.staged_op(key) {
+            Some(op) => op.map(|(idx, tuple)| (idx, tuple.clone())),
+            None => self.shared.keys.read().get(key).cloned(),
         }
-        self.shared.keys.read().get(key).cloned()
     }
 
     fn ensure_capacity(&mut self) {
@@ -611,6 +639,7 @@ impl PersistentTable {
                 tombstone: false,
             },
         );
+        self.staged.insert(Arc::clone(&key), self.tail);
         self.pending.push(PendingOp::Put {
             idx: self.tail,
             key,
@@ -644,6 +673,7 @@ impl PersistentTable {
                 tombstone: true,
             },
         );
+        self.staged.insert(Arc::clone(&key), self.tail);
         self.pending.push(PendingOp::Del {
             idx: self.tail,
             key,
@@ -660,8 +690,15 @@ impl PersistentTable {
         // `Release`/`Acquire` pair on `visible` orders both).
         let take = self.pending.iter().take_while(|op| op.idx() < upto).count();
         if take > 0 {
+            let whole = take == self.pending.len();
             let mut keys = self.shared.keys.write();
             for op in self.pending.drain(..take) {
+                let (PendingOp::Put { idx, key, .. } | PendingOp::Del { idx, key, .. }) = &op;
+                // A key staged again past the commit point keeps the
+                // index entry of its newer operation.
+                if !whole && self.staged.get(&**key) == Some(idx) {
+                    self.staged.remove(&**key);
+                }
                 match op {
                     PendingOp::Put {
                         idx,
@@ -686,6 +723,24 @@ impl PersistentTable {
                         self.stale += 2;
                     }
                 }
+            }
+            if whole {
+                self.staged.clear();
+                if self.pending.capacity() > STAGING_RETAIN {
+                    self.pending = Vec::new();
+                    self.staged = HashMap::new();
+                }
+            }
+            // A change set holding more keys than the table can hold
+            // rows (every staged operation may add one) is no cheaper
+            // to write than the table itself: stop recording, and the
+            // next checkpoint writes a base.
+            if self
+                .dirty
+                .as_ref()
+                .is_some_and(|dirty| dirty.len() > keys.len() + self.pending.len())
+            {
+                self.dirty = None;
             }
         }
         self.cur.commit_visible(upto);
@@ -728,24 +783,15 @@ impl PersistentTable {
     /// See [`Table::capture_delta`].
     fn capture_delta(&mut self) -> Option<(Vec<Tuple>, Vec<Arc<str>>)> {
         let dirty = std::mem::take(self.dirty.as_mut()?);
-        // The newest staged operation per key outranks the committed
-        // map, exactly as in `effective_get`.
-        let mut staged: HashMap<&str, Option<(u64, &Tuple)>> = HashMap::new();
-        for op in &self.pending {
-            match op {
-                PendingOp::Put {
-                    idx, key, tuple, ..
-                } => staged.insert(key, Some((*idx, tuple))),
-                PendingOp::Del { key, .. } => staged.insert(key, None),
-            };
-        }
         let keys = self.shared.keys.read();
         let mut rows = Vec::with_capacity(dirty.len());
         let mut removed = Vec::new();
         for key in dirty {
-            let live = match staged.get(&*key) {
+            // The newest staged operation per key outranks the committed
+            // map, exactly as in `effective_get`.
+            let live = match self.staged_op(&key) {
                 Some(op) => op.map(|(idx, tuple)| (idx, tuple.clone())),
-                None => keys.get(&key).map(|(idx, tuple)| (*idx, tuple.clone())),
+                None => keys.get(&key).cloned(),
             };
             match live {
                 Some(row) => rows.push(row),
@@ -774,20 +820,25 @@ impl PersistentTable {
         // staging left off, so any index ever handed out stays
         // unambiguous across generations.
         let new_base = self.tail;
-        let mut rows = Vec::with_capacity(log_len - self.stale.min(log_len));
-        for idx in self.cur.first()..self.cur.end() {
-            let row = self.cur.row(idx);
+        // The old indices of the live rows, ascending: a row's rank
+        // among them is its offset in the compacted generation, which
+        // keeps them in log order.
+        let mut live = Vec::with_capacity(log_len - self.stale.min(log_len));
+        let cur = &self.cur;
+        let rows = (cur.first()..cur.end()).filter_map(|idx| {
+            let row = cur.row(idx);
             if row.tombstone || row.replaced_by.load(Ordering::Acquire) != LIVE {
-                continue;
+                return None;
             }
-            rows.push(RowEntry {
+            live.push(idx);
+            Some(RowEntry {
                 tstamp: row.tstamp,
                 tuple: row.tuple.clone(),
                 key: row.key.clone(),
                 replaced_by: AtomicU64::new(LIVE),
                 tombstone: false,
-            });
-        }
+            })
+        });
         let compacted = Arc::new(TableSnapshot::rebuilt(
             Arc::clone(&self.schema),
             TableKind::Persistent,
@@ -796,12 +847,15 @@ impl PersistentTable {
         ));
         self.tail = compacted.end();
         {
+            // Each committed key's row is live, so re-pointing it is a
+            // search among the live old indices: no key is re-hashed.
             let mut keys = self.shared.keys.write();
-            for idx in new_base..compacted.end() {
-                let row = compacted.row(idx);
-                if let Some(key) = &row.key {
-                    keys.insert(Arc::clone(key), (idx, row.tuple.clone()));
-                }
+            debug_assert_eq!(keys.len(), live.len(), "one key per live row");
+            for (idx, _) in keys.values_mut() {
+                let rank = live
+                    .binary_search(idx)
+                    .expect("a committed key's row is live in the log");
+                *idx = new_base + rank as u64;
             }
         }
         self.cur = Arc::clone(&compacted);
@@ -1330,3 +1384,7 @@ mod tests {
             .is_err());
     }
 }
+
+#[cfg(test)]
+#[path = "staging_tests.rs"]
+mod staging_tests;

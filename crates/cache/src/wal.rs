@@ -327,22 +327,6 @@ fn attr_from_byte(b: u8) -> Result<AttrType> {
     }
 }
 
-/// Frame `payload` as one log record: `[u32 len][u32 crc32][payload]`.
-///
-/// The length prefix is a `u32`, so a payload is capped at 4 GiB — far
-/// beyond any record (`MAX_BATCH_ROWS` bounds batches long before
-/// that); checkpoint images check the limit explicitly in [`seal`]
-/// and fail the checkpoint rather than write an undecodable frame.
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len())
-        .expect("frame payloads are bounded below the u32 length prefix");
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    framed.extend_from_slice(&len.to_le_bytes());
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
-}
-
 /// A writer for one frame built in place: its first eight bytes are
 /// reserved for the `[len][crc]` header that [`seal`] fills in once the
 /// payload follows, so no frame is copied to be framed.
@@ -512,38 +496,47 @@ pub fn count_complete_records(bytes: &[u8]) -> usize {
     scan_frames(bytes).0.len()
 }
 
-/// Split a log file into decoded payload slices, stopping at the first
-/// frame whose length runs past the buffer, whose checksum fails, or
-/// whose payload is empty. The empty-payload check matters after a power
-/// failure: filesystems can extend a file with zeroes before the data
-/// reaches disk, and a zero-filled header reads as `len = 0, crc = 0` —
-/// which `crc32(&[]) == 0` would otherwise accept as a valid record. No
-/// real record or snapshot has an empty payload, so `len == 0` always
-/// means "torn tail", never data.
+/// Bytes of a frame's `[u32 len][u32 crc32]` header.
+const FRAME_HEADER: usize = 8;
+
+/// The payload of a whole frame (as [`scan_frames`] yields it).
+pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
+    &frame[FRAME_HEADER..]
+}
+
+/// Split a log file into whole frames (header included; see
+/// [`frame_payload`]) and the length of that valid prefix, stopping at
+/// the first frame whose length runs past the buffer, whose checksum
+/// fails, or whose payload is empty. The empty-payload check matters
+/// after a power failure: filesystems can extend a file with zeroes
+/// before the data reaches disk, and a zero-filled header reads as
+/// `len = 0, crc = 0` — which `crc32(&[]) == 0` would otherwise accept
+/// as a valid record. No real record or snapshot has an empty payload,
+/// so `len == 0` always means "torn tail", never data.
 pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
-    let mut payloads = Vec::new();
+    let mut frames = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
+    while bytes.len() - pos >= FRAME_HEADER {
         let len =
             u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4-byte slice"));
         if len == 0 {
             break;
         }
-        let Some(end) = (pos + 8).checked_add(len) else {
+        let Some(end) = (pos + FRAME_HEADER).checked_add(len) else {
             break;
         };
         if end > bytes.len() {
             break;
         }
-        let payload = &bytes[pos + 8..end];
-        if crc32(payload) != crc {
+        let frame = &bytes[pos..end];
+        if crc32(frame_payload(frame)) != crc {
             break;
         }
-        payloads.push(payload);
+        frames.push(frame);
         pos = end;
     }
-    (payloads, pos)
+    (frames, pos)
 }
 
 /// Split a buffer of concatenated log frames into `(lsn, frame)` pairs
@@ -554,16 +547,13 @@ pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
 /// tests use it to check a log's LSN order and to rebuild older on-disk
 /// layouts.
 pub fn split_frames(bytes: &[u8]) -> Vec<(u64, &[u8])> {
-    let mut pos = 0usize;
     scan_frames(bytes)
         .0
         .into_iter()
-        .map_while(|payload| {
+        .map_while(|frame| {
             // Every record payload starts with its u64 LSN; anything
             // shorter is not a record.
-            let lsn = u64::from_le_bytes(payload.get(..8)?.try_into().ok()?);
-            let frame = &bytes[pos..pos + 8 + payload.len()];
-            pos += frame.len();
+            let lsn = u64::from_le_bytes(frame_payload(frame).get(..8)?.try_into().ok()?);
             Some((lsn, frame))
         })
         .collect()
@@ -821,11 +811,7 @@ pub(crate) fn snapshot_high_watermark(snapshot: &Snapshot) -> u64 {
 /// materialised), so probing a multi-gigabyte snapshot on every
 /// follower subscription costs a scan, not an allocation storm.
 pub(crate) fn scan_snapshot_high_watermark(bytes: &[u8]) -> Result<u64> {
-    let (payloads, _) = scan_frames(bytes);
-    let payload = payloads
-        .first()
-        .ok_or_else(|| Error::wal("snapshot file is torn or corrupt"))?;
-    let mut r = WireReader::new(payload);
+    let mut r = WireReader::new(first_payload(bytes, "snapshot")?);
     let version = r.get_u8()?;
     if version != 1 && version != 2 {
         return Err(Error::wal(format!("unknown snapshot version {version}")));
@@ -896,7 +882,7 @@ fn first_payload<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
     scan_frames(bytes)
         .0
         .first()
-        .copied()
+        .map(|frame| frame_payload(frame))
         .ok_or_else(|| Error::wal(format!("{what} file is torn or corrupt")))
 }
 
@@ -1127,7 +1113,10 @@ pub(crate) struct Recovery {
 
 #[derive(Debug)]
 struct LogState {
-    file: File,
+    /// The live log. A group-commit leader writes and fsyncs through
+    /// its own reference outside the lock; [`Wal::rotate_begin`] swaps
+    /// it only while no leader is in flight.
+    file: Arc<File>,
     /// Frames appended but not yet written to the file.
     buf: Vec<u8>,
     /// The LSN the next locally minted record receives.
@@ -1238,9 +1227,9 @@ impl Wal {
             }
             let mut bytes = Vec::new();
             File::open(&path)?.read_to_end(&mut bytes)?;
-            let (payloads, valid_len) = scan_frames(&bytes);
-            for payload in payloads {
-                let op = decode_record(payload)?;
+            let (frames, valid_len) = scan_frames(&bytes);
+            for frame in frames {
+                let op = decode_record(frame_payload(frame))?;
                 max_lsn = max_lsn.max(op.lsn());
                 ops.push(op);
             }
@@ -1303,7 +1292,7 @@ impl Wal {
         let wal = Wal {
             dir: dir.to_path_buf(),
             state: Mutex::new(LogState {
-                file,
+                file: Arc::new(file),
                 buf: Vec::new(),
                 next_lsn: max_lsn + 1,
                 // Every record at or below the contiguous point is on
@@ -1497,10 +1486,9 @@ impl Wal {
             state.syncing = true;
             let chunk = std::mem::take(&mut state.buf);
             let target = state.appended_lsn;
-            let file = state.file.try_clone();
+            let file = Arc::clone(&state.file);
             drop(state);
-            let outcome = file.map_err(Error::from).and_then(|file| {
-                (&file).write_all(&chunk)?;
+            let outcome = (&*file).write_all(&chunk).and_then(|()| {
                 let t = Instant::now();
                 file.sync_data()?;
                 self.obs.wal_fsync_ns.record_duration(t.elapsed());
@@ -1530,7 +1518,7 @@ impl Wal {
         debug_assert!(!state.syncing);
         if !state.buf.is_empty() {
             let buf = std::mem::take(&mut state.buf);
-            if let Err(e) = state.file.write_all(&buf) {
+            if let Err(e) = (&*state.file).write_all(&buf) {
                 state.failed = Some(e.to_string());
                 return Err(e.into());
             }
@@ -1576,7 +1564,7 @@ impl Wal {
             state.file.set_len(0)?;
         } else {
             fs::rename(&live, &rotated)?;
-            state.file = OpenOptions::new().create(true).append(true).open(&live)?;
+            state.file = Arc::new(OpenOptions::new().create(true).append(true).open(&live)?);
         }
         drop(state);
         fsync_dir(&self.dir)
@@ -1746,6 +1734,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Frame `payload` as one log record: `[u32 len][u32 crc32][payload]`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&crc32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
+        framed
+    }
+
     /// The byte-at-a-time CRC the log format was defined with: the
     /// oracle [`crc32`] must agree with bit for bit.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
@@ -1836,11 +1832,11 @@ mod tests {
         log.extend_from_slice(&tokened_insert);
 
         assert_eq!(count_complete_records(&log), 5);
-        let (payloads, consumed) = scan_frames(&log);
+        let (frames, consumed) = scan_frames(&log);
         assert_eq!(consumed, log.len());
-        let ops: Vec<ReplayOp> = payloads
+        let ops: Vec<ReplayOp> = frames
             .into_iter()
-            .map(|p| decode_record(p).unwrap())
+            .map(|f| decode_record(frame_payload(f)).unwrap())
             .collect();
         assert!(matches!(
             &ops[0],

@@ -268,22 +268,37 @@ impl<'a> WireReader<'a> {
         })
     }
 
-    /// Read a length-prefixed sequence of scalars.
-    pub fn get_scalars(&mut self) -> Result<Vec<Scalar>> {
+    /// Read a `u32`-length-prefixed sequence of at most 1,000,000
+    /// items, each read by `item` and taking at least `min_item` bytes
+    /// (`what` names the sequence in the error). The vector is reserved
+    /// once, for no more items than the bytes left could hold, so a
+    /// hostile length prefix cannot force a large allocation.
+    fn get_seq<T>(
+        &mut self,
+        min_item: usize,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
         let len = self.get_u32()? as usize;
         if len > 1_000_000 {
-            return Err(Error::protocol("unreasonably large scalar sequence"));
+            return Err(Error::protocol(format!("unreasonably large {what}")));
         }
-        (0..len).map(|_| self.get_scalar()).collect()
+        let mut items = Vec::with_capacity(len.min(self.remaining() / min_item));
+        for _ in 0..len {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Read a length-prefixed sequence of scalars.
+    pub fn get_scalars(&mut self) -> Result<Vec<Scalar>> {
+        // A scalar is at least a tag byte and a one-byte bool.
+        self.get_seq(2, "scalar sequence", Self::get_scalar)
     }
 
     /// Read a length-prefixed sequence of strings.
     pub fn get_strs(&mut self) -> Result<Vec<String>> {
-        let len = self.get_u32()? as usize;
-        if len > 1_000_000 {
-            return Err(Error::protocol("unreasonably large string sequence"));
-        }
-        (0..len).map(|_| self.get_str()).collect()
+        self.get_seq(4, "string sequence", Self::get_str)
     }
 
     /// Read a length-prefixed sequence of scalar rows. The row bound
@@ -293,11 +308,7 @@ impl<'a> WireReader<'a> {
     ///
     /// Returns [`Error::Protocol`] on malformed input or absurd lengths.
     pub fn get_rows(&mut self) -> Result<Vec<Vec<Scalar>>> {
-        let len = self.get_u32()? as usize;
-        if len > 1_000_000 {
-            return Err(Error::protocol("unreasonably large row batch"));
-        }
-        (0..len).map(|_| self.get_scalars()).collect()
+        self.get_seq(4, "row batch", Self::get_scalars)
     }
 
     /// Read a length-prefixed sequence of `u64`s.
@@ -306,11 +317,7 @@ impl<'a> WireReader<'a> {
     ///
     /// Returns [`Error::Protocol`] on malformed input or absurd lengths.
     pub fn get_u64s(&mut self) -> Result<Vec<u64>> {
-        let len = self.get_u32()? as usize;
-        if len > 1_000_000 {
-            return Err(Error::protocol("unreasonably large u64 sequence"));
-        }
-        (0..len).map(|_| self.get_u64()).collect()
+        self.get_seq(8, "u64 sequence", Self::get_u64)
     }
 }
 

@@ -607,7 +607,10 @@ fn decode_reply(r: &mut WireReader<'_>) -> Result<CacheReply> {
             if n > 10_000_000 {
                 return Err(Error::protocol("unreasonably large result set"));
             }
-            let mut rows = Vec::with_capacity(n.min(4096));
+            // A row takes at least 12 bytes (an empty value list's
+            // length prefix and the timestamp), so a hostile count
+            // cannot reserve more rows than the bytes left could hold.
+            let mut rows = Vec::with_capacity(n.min(r.remaining() / 12));
             for _ in 0..n {
                 rows.push(WireRow {
                     values: r.get_scalars()?,

@@ -27,7 +27,8 @@
 #           many threads at once or hand an unregistration's reply from
 #           an automaton's drain back to a connection, REPEATS (10)
 #           passes each in release, with pass counts: a lost wake or a
-#           lost hand-off is a race that one tier-1 pass can miss
+#           lost hand-off is a race that one tier-1 pass can miss; and
+#           the keyed-staging time ratio, to show it stable 10/10
 #   psbench the end-to-end benchmark's smoke run (benchmark/smoke.sh):
 #           all four psbench workloads, briefly, with their correctness
 #           oracles — SIGKILL-and-recover, follower-equals-primary
@@ -136,12 +137,14 @@ REPEAT_SUITES='
 --test notification_delivery
 --test protection_chaos
 --test fanout_stress
+--test keyed_staging
 -p psrpc --lib poll::tests
 '
 
 stage_repeat() {
     cargo test --release -q --no-run --test rpc_chaos --test checkpoint_race \
-        --test notification_delivery --test protection_chaos --test fanout_stress
+        --test notification_delivery --test protection_chaos --test fanout_stress \
+        --test keyed_staging
     cargo test --release -q --no-run -p psrpc --lib
     failed=0
     while read -r suite; do

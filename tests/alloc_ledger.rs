@@ -15,6 +15,9 @@
 //! * (c) An idempotency token adds no allocation to an insert: over the
 //!   in-process transport, a tokened insert allocates at most 0.05 more
 //!   per op than the same insert without a token.
+//! * (d) Decoding a 100-row `InsertBatch` allocates once per row, once
+//!   per string value, and once each for the table name and the row
+//!   list: every vector is sized from its length prefix, never grown.
 //!
 //! The counter is process-wide, so every test holds [`serial`] for its
 //! whole body: no other test of this binary allocates while one
@@ -36,7 +39,7 @@ use gapl::event::Scalar;
 use pscache::obs::LatencyHistogram;
 use pscache::{CacheBuilder, Obs, OpTrace, ReqKind, Response};
 use psrpc::client::CacheClient;
-use psrpc::message::{CacheReply, Request};
+use psrpc::message::{CacheReply, ClientMessage, Request};
 
 /// Counts every allocation and reallocation, then defers to [`System`].
 struct Counting;
@@ -77,6 +80,12 @@ const CACHED_SELECT_ALLOCS: f64 = 5.0;
 /// Allocations per op of a typed stream insert, the caller's own
 /// argument `Vec` included.
 const STREAM_INSERT_ALLOCS: f64 = 2.0;
+/// Allocations to decode a 100-row `InsertBatch` of 8 columns, 2 of
+/// them strings: the table name, the row list, and per row its value
+/// list and two strings.
+const DECODE_BATCH_8X2_ALLOCS: f64 = 302.0;
+/// The same for 4 columns, 1 of them a string.
+const DECODE_BATCH_4X1_ALLOCS: f64 = 202.0;
 /// Allowed excess over a pin: below one, so one more allocation per op
 /// always fails, while a rare amortised growth does not.
 const SLACK: f64 = 0.5;
@@ -209,4 +218,48 @@ fn an_idempotency_token_adds_no_allocation_to_an_insert() {
         "a token adds {:.3} allocations per insert",
         tokened - untokened
     );
+}
+
+#[test]
+fn decoding_an_insert_batch_allocates_its_pinned_count() {
+    let _serial = serial();
+    let batch = |columns: usize, pinned: f64| {
+        let rows = (0..100i64)
+            .map(|i| {
+                let mut row = vec![
+                    Scalar::Str(format!("host-{i}").into()),
+                    Scalar::Int(i),
+                    Scalar::Real(0.5),
+                    Scalar::Bool(true),
+                    Scalar::Str("eth0".into()),
+                    Scalar::Int(-i),
+                    Scalar::Tstamp(7),
+                    Scalar::Int(3),
+                ];
+                row.truncate(columns);
+                row
+            })
+            .collect();
+        let bytes = ClientMessage {
+            seq: 1,
+            token: None,
+            trace: None,
+            request: Request::InsertBatch {
+                table: "Hosts".into(),
+                rows,
+                upsert: true,
+            },
+        }
+        .encode();
+        let per_op = allocs_per_op(200, |_| {
+            let decoded = ClientMessage::decode(&bytes).unwrap();
+            assert!(
+                matches!(decoded.request, Request::InsertBatch { ref rows, .. } if rows.len() == 100)
+            );
+        });
+        println!("100-row InsertBatch decode, {columns} columns: {per_op:.3} allocations");
+        assert_pinned("InsertBatch decode", per_op, pinned);
+    };
+    batch(8, DECODE_BATCH_8X2_ALLOCS);
+    batch(4, DECODE_BATCH_4X1_ALLOCS);
 }
